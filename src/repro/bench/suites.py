@@ -70,8 +70,8 @@ def bench_event_queue(quick: bool = False) -> int:
 def bench_scheduler_search(quick: bool = False) -> int:
     """Algorithm 1's configuration search over a synthetic fleet.
 
-    Fresh cluster and scheduler per round (cold config caches, cold
-    free-capacity index), shared warm predictor; returns the number of
+    Fresh cluster and scheduler per round (cold config caches), shared
+    warm predictor; returns the number of
     instances placed across rounds.
     """
     from repro.cluster import build_testbed_cluster

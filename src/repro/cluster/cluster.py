@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class Cluster:
     servers: List[Server]
     beta: float = BETA
     #: bumped on every allocate/release so callers (the scheduler) can
-    #: cache derived indexes and invalidate them cheaply.
+    #: cache derived values and invalidate them cheaply.
     version: int = 0
     _placements: Dict[int, Placement] = field(default_factory=dict)
     _next_placement_id: Iterable[int] = field(default_factory=itertools.count)
@@ -46,27 +46,39 @@ class Cluster:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate server ids in cluster")
         self._by_id = {server.server_id: server for server in self.servers}
-        # Incrementally-maintained free-pool aggregates.  At cluster
-        # scale the scheduler re-prices its CPU<->GPU conversion factor
-        # and rebuilds its free-capacity index after *every* placement;
-        # summing per-server free pools there is O(servers) per
-        # placement, i.e. quadratic over a provisioning sweep.  All
-        # resource mutations flow through allocate/release/
-        # recover_server below, which keep these exact.  Like the
-        # per-server iteration they replace, the aggregates span every
-        # server regardless of health (a failed machine keeps its free
-        # counters; can_fit() is what rejects it).
+        # Placement-feasibility mirror: one array entry per server, in
+        # ascending server-id order, so an argmin over the arrays breaks
+        # ties by the lowest id.  _sync_server_free keeps every entry
+        # equal to its live Server fields; all mutations of those
+        # fields flow through this class.
+        by_id = sorted(self.servers, key=lambda server: server.server_id)
         self._index_of = {
-            server.server_id: index
-            for index, server in enumerate(self.servers)
+            server.server_id: index for index, server in enumerate(by_id)
         }
-        self._ids_arr = np.array(ids, dtype=np.int64)
-        self._cpu_free_arr = np.array(
-            [server.cpu_free for server in self.servers], dtype=np.float64
-        )
-        self._gpu_free_arr = np.array(
-            [server.gpu_free for server in self.servers], dtype=np.float64
-        )
+        self._ids_arr = np.array(sorted(ids), dtype=np.int64)
+        count = len(by_id)
+        self._cpu_free_arr = np.zeros(count)
+        self._gpu_free_arr = np.zeros(count)
+        #: host memory available to placements: free minus swap.
+        self._mem_avail_arr = np.zeros(count)
+        #: largest single-device free GPU share (the MPS quota bound).
+        self._gpu_max_arr = np.zeros(count)
+        self._healthy_arr = np.zeros(count, dtype=bool)
+        for server in by_id:
+            self._sync_server_free(server)
+        #: narrowest signed integer type holding -1, every CPU and GPU
+        #: capacity, and a value above all of them (see _units).
+        self._unit_dtype = np.min_scalar_type(-2 - max(
+            [server.cpu_capacity for server in by_id]
+            + [gpu.capacity for server in by_id for gpu in server.gpus],
+            default=0,
+        ))
+        # Incrementally-maintained free-pool aggregates: the scheduler
+        # re-prices its CPU<->GPU conversion factor after *every*
+        # placement, and summing per-server free pools there would be
+        # quadratic over a provisioning sweep.  Like the per-server
+        # iteration they replace, they span every server regardless
+        # of health (a failed machine keeps its free counters).
         self._free_cpu_total = int(sum(s.cpu_free for s in self.servers))
         self._free_gpu_total = int(sum(s.gpu_free for s in self.servers))
 
@@ -74,6 +86,31 @@ class Cluster:
         index = self._index_of[server.server_id]
         self._cpu_free_arr[index] = server.cpu_free
         self._gpu_free_arr[index] = server.gpu_free
+        self._mem_avail_arr[index] = (
+            server.memory_free_mb - server.swap_reserved_mb
+        )
+        self._gpu_max_arr[index] = server._gpu_free_max
+        self._healthy_arr[index] = server.healthy
+
+    def mirror_drift(self, server: Server) -> List[str]:
+        """Mirrored fields of ``server`` that differ from its live state.
+
+        A failed server is only checked for health: placement never
+        reads the free counters of a machine that is down.
+        """
+        index = self._index_of[server.server_id]
+        live = [("healthy", self._healthy_arr, server.healthy)]
+        if server.healthy:
+            live += [
+                ("cpu_free", self._cpu_free_arr, server.cpu_free),
+                ("gpu_free", self._gpu_free_arr, server.gpu_free),
+                (
+                    "host_memory_available_mb", self._mem_avail_arr,
+                    server.memory_free_mb - server.swap_reserved_mb,
+                ),
+                ("gpu_free_max", self._gpu_max_arr, server._gpu_free_max),
+            ]
+        return [name for name, arr, value in live if arr[index] != value]
 
     @property
     def free_cpu_total(self) -> int:
@@ -85,20 +122,101 @@ class Cluster:
         """Total free GPU percent units across all servers."""
         return self._free_gpu_total
 
-    def sorted_weighted_free(self, beta: float) -> List[Tuple[float, int]]:
-        """Ascending ``(weighted free, server_id)`` pairs at ``beta``.
+    def server_mask(self, server_ids: Iterable[int]) -> np.ndarray:
+        """Boolean mask over the mirror, True for the named servers."""
+        mask = np.zeros(len(self._ids_arr), dtype=bool)
+        index_of = self._index_of
+        mask[[index_of[server_id] for server_id in server_ids]] = True
+        return mask
 
-        Vectorised equivalent of sorting ``(server.weighted_free(beta),
-        server.server_id)`` per server: the weighted key is the same
-        two IEEE-754 operations (``beta * cpu_free + gpu_free``) numpy
-        performs element-wise, and the stable lexsort reproduces the
-        tuple ordering exactly, so callers see bit-identical indexes.
+    def best_fit(
+        self,
+        requests: Sequence[ResourceVector],
+        beta: float,
+        server_masks: Optional[np.ndarray] = None,
+        allowed: Optional[np.ndarray] = None,
+    ) -> Tuple[List[int], List[float]]:
+        """The best-fit server for each request, in one vectorised pass.
+
+        For every request, returns the server with the least
+        ``(beta * cpu_free + gpu_free, server_id)`` among those where
+        the request fits (:meth:`Server.can_fit`), together with that
+        weighted free capacity; ``-1`` and ``inf`` where none fits.
+        The weighted keys are the same two IEEE-754 operations as
+        :meth:`Server.weighted_free`, so both results are bit-identical
+        to a per-server Python scan.  A server that fits a request
+        always covers its weighted cost ``beta * cpu + gpu`` too: the
+        CPU test bounds the first term and the single-device GPU test
+        the second, and rounding is monotone.
+
+        ``server_masks`` (one row per request, from
+        :meth:`server_mask`) restricts each request to its own server
+        set; ``allowed`` restricts all of them to one set.
         """
         weighted = beta * self._cpu_free_arr + self._gpu_free_arr
-        order = np.lexsort((self._ids_arr, weighted))
-        return list(
-            zip(weighted[order].tolist(), self._ids_arr[order].tolist())
+        # Preference order; the arrays are in id order, so the stable
+        # sort breaks ties by the lowest id.
+        order = np.argsort(weighted, kind="stable")
+        eligible = self._healthy_arr
+        if allowed is not None:
+            eligible = eligible & allowed
+        cpu = [request.cpu for request in requests]
+        gpu = np.array([request.gpu for request in requests], dtype=float)
+        # A GPU quota must come from one device (and MPS caps it at a
+        # whole one); CPU-only requests ignore the GPU axis.
+        gpu_bound = np.where(gpu == 0, -1, np.where(gpu <= 100, gpu, np.inf))
+        free_cpu = np.where(eligible, self._cpu_free_arr, -1)[order]
+        fits = self._units(cpu)[:, None] <= self._units(free_cpu)
+        fits &= (
+            self._units(gpu_bound)[:, None]
+            <= self._units(self._gpu_max_arr[order])
         )
+        memory = np.array(
+            [request.memory_mb for request in requests], dtype=float
+        )
+        if memory.max() > self._mem_avail_arr.min():
+            # Host memory binds somewhere (it rarely does).
+            fits &= memory[:, None] <= self._mem_avail_arr[order]
+        if server_masks is not None:
+            fits &= server_masks[:, order]
+        first = fits.argmax(axis=1)
+        found = fits[np.arange(len(requests)), first]
+        best = order[first]
+        picks = np.where(found, self._ids_arr[best], -1)
+        capacity = np.where(found, weighted[best], np.inf)
+        return picks.tolist(), capacity.tolist()
+
+    def _units(self, values) -> np.ndarray:
+        """Whole CPU/GPU units in the narrow ``_unit_dtype``.
+
+        The free ledgers hold whole units, so rounding a request up
+        keeps ``request <= free`` exact; anything above every capacity
+        (``inf`` included) clamps to a value no server has, and
+        anything below zero to -1, so the cast cannot wrap.  Comparing
+        int8/int16 lanes is several times faster than float64 ones.
+        """
+        top = np.iinfo(self._unit_dtype).max
+        return np.clip(np.ceil(values), -1, top).astype(self._unit_dtype)
+
+    # ------------------------------------------------------------------
+    # swap ledger
+    # ------------------------------------------------------------------
+    def swap_reserve(self, server_id: int, mb: float) -> bool:
+        """Park ``mb`` of evicted weights in a server's host RAM.
+
+        See :meth:`Server.swap_reserve`; the reservation shrinks the
+        host memory placements may use, so the mirror follows it.
+        """
+        server = self.server(server_id)
+        reserved = server.swap_reserve(mb)
+        self._sync_server_free(server)
+        return reserved
+
+    def swap_release(self, server_id: int, mb: float) -> None:
+        """Return parked weights to a server's host RAM."""
+        server = self.server(server_id)
+        server.swap_release(mb)
+        self._sync_server_free(server)
 
     # ------------------------------------------------------------------
     # lookup
@@ -264,6 +382,7 @@ class Cluster:
         ]
         for placement in lost:
             del self._placements[placement.placement_id]
+        self._sync_server_free(server)
         self.version += 1
         return lost
 

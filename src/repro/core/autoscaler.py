@@ -169,9 +169,9 @@ class AutoScaler:
         """Return an entry's parked weights to the host-RAM pool."""
         if entry.swap_mb <= 0.0 or entry.swap_server_id is None:
             return
-        server = self.scheduler.cluster.server(entry.swap_server_id)
-        if server.healthy:
-            server.swap_release(entry.swap_mb)
+        cluster = self.scheduler.cluster
+        if cluster.server(entry.swap_server_id).healthy:
+            cluster.swap_release(entry.swap_server_id, entry.swap_mb)
         entry.swap_mb = 0.0
         entry.swap_server_id = None
 
@@ -206,7 +206,9 @@ class AutoScaler:
                 else None
             )
             weights_mb = swap_weights_mb(instance)
-            if server is not None and server.swap_reserve(weights_mb):
+            if server is not None and self.scheduler.cluster.swap_reserve(
+                server.server_id, weights_mb
+            ):
                 self.scheduler.release(instance)
                 instance.state = InstanceState.WARM_IDLE
                 pool.append(

@@ -16,17 +16,19 @@ is covered:
 
 The search is exactly the paper's; the only engineering addition is a
 best-fit shortcut: for a fixed configuration, e_ij is maximised by the
-feasible server with the least weighted free capacity, so each
-configuration scans servers in ascending free order instead of scoring
-all ``m`` of them.
+feasible server with the least weighted free capacity, so instead of
+scoring all ``m`` servers per configuration, one vectorised query
+(:meth:`~repro.cluster.cluster.Cluster.best_fit`) finds that server for
+every candidate configuration of a placement at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.fleet import GpuProfile, profile_map
@@ -103,12 +105,6 @@ class GreedyScheduler:
         #: (model, b, c, g) -> ResourceVector; the memory footprint of
         #: a configuration is a pure function of its key.
         self._resources_cache: Dict[Tuple, ResourceVector] = {}
-        #: ascending weighted-free server index, cached across
-        #: schedule() calls and invalidated via Cluster.version (and
-        #: re-keyed whenever the efficiency beta moves).
-        self._free_index: Optional[List[Tuple[float, int]]] = None
-        self._free_index_version: int = -1
-        self._free_index_beta: float = float("nan")
         self._beta_cache: Tuple[int, float] = (-1, 0.0)
         #: re-price the CPU/GPU conversion factor by *remaining*
         #: cluster resources at each placement: when GPUs deplete,
@@ -132,6 +128,17 @@ class GreedyScheduler:
         self._profile_order: List[Optional[GpuProfile]] = [None] + [
             profiles[name] for name in sorted(profiles)
         ]
+        #: best-fit server masks: row 0 admits every server (CPU-only
+        #: rows), row k the servers of ``_profile_order[k - 1]``.
+        names = {sid: p.name for sid, p in self._gpu_profiles.items()}
+        ids = [server.server_id for server in cluster.servers]
+        self._generation_masks = np.array([cluster.server_mask(ids)] + [
+            cluster.server_mask(
+                sid for sid in ids
+                if names.get(sid) == getattr(profile, "name", None)
+            )
+            for profile in self._profile_order
+        ])
         #: optional :class:`~repro.workflows.coplace.CoPlacementHint`:
         #: when attached (workflow runs), placement prefers servers
         #: already hosting adjacent DAG stages, accepting them only
@@ -231,144 +238,17 @@ class GreedyScheduler:
             self._resources_cache[key] = cached
         return cached
 
-    def _best_server_for(
-        self,
-        resources: ResourceVector,
-        sorted_free: List[Tuple[float, int]],
-        beta: Optional[float] = None,
-    ) -> Optional[int]:
-        """Feasible server with the least weighted free capacity.
-
-        ``beta`` must be the beta the index was keyed with (the
-        efficiency beta); mixing betas between the bisect cost and the
-        index keys breaks the best-fit shortcut's argmax property.
-        """
-        if beta is None:
-            beta = self._efficiency_beta()
-        cost = resources.weighted(beta)
-        # Skip servers whose weighted free capacity cannot cover the
-        # weighted cost, then scan upward for a true fit (single-GPU
-        # quota and memory can still rule a server out).  The checks
-        # are Server.can_fit inlined: this scan probes millions of
-        # servers per large-scale sweep and the two call frames per
-        # probe (lookup + can_fit) dominate its cost.
-        start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
-        server_of = self.cluster.server
-        cpu = resources.cpu
-        memory = resources.memory_mb
-        gpu = resources.gpu
-        gpu_ok = 0 < gpu <= 100
-        for index in range(start, len(sorted_free)):
-            server_id = sorted_free[index][1]
-            server = server_of(server_id)
-            if (
-                server.healthy
-                and cpu <= server.cpu_free
-                and memory <= server.memory_free_mb - server.swap_reserved_mb
-                and (
-                    gpu == 0
-                    or (gpu_ok and gpu <= server._gpu_free_max)
-                )
-            ):
-                return server_id
-        return None
-
-    def _best_server_within(
-        self,
-        resources: ResourceVector,
-        sorted_free: List[Tuple[float, int]],
-        beta: float,
-        allowed: object,
-    ) -> Optional[int]:
-        """Best-fit scan restricted to an ``allowed`` server-id set.
-
-        The co-placement variant of :meth:`_best_server_for`, kept
-        separate so the default scan stays branch-free.  Same
-        feasibility checks; only servers in ``allowed`` qualify.
-        """
-        cost = resources.weighted(beta)
-        start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
-        server_of = self.cluster.server
-        cpu = resources.cpu
-        memory = resources.memory_mb
-        gpu = resources.gpu
-        gpu_ok = 0 < gpu <= 100
-        for index in range(start, len(sorted_free)):
-            server_id = sorted_free[index][1]
-            if server_id not in allowed:
-                continue
-            server = server_of(server_id)
-            if (
-                server.healthy
-                and cpu <= server.cpu_free
-                and memory <= server.memory_free_mb - server.swap_reserved_mb
-                and (
-                    gpu == 0
-                    or (gpu_ok and gpu <= server._gpu_free_max)
-                )
-            ):
-                return server_id
-        return None
-
-    def _best_server_for_profile(
-        self,
-        resources: ResourceVector,
-        sorted_free: List[Tuple[float, int]],
-        beta: float,
-        gpu_profile: Optional[GpuProfile],
-    ) -> Optional[int]:
-        """The heterogeneous-fleet variant of :meth:`_best_server_for`.
-
-        GPU rows are priced per generation, so a row is only feasible
-        on servers of the generation it was priced for (``None`` means
-        the calibration baseline).  Kept separate so the homogeneous
-        scan stays branch-free.
-        """
-        cost = resources.weighted(beta)
-        start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
-        server_of = self.cluster.server
-        profile_of = self._gpu_profiles.get
-        want = None if gpu_profile is None else gpu_profile.name
-        cpu = resources.cpu
-        memory = resources.memory_mb
-        gpu = resources.gpu
-        gpu_ok = 0 < gpu <= 100
-        for index in range(start, len(sorted_free)):
-            server_id = sorted_free[index][1]
-            server = server_of(server_id)
-            if not (
-                server.healthy
-                and cpu <= server.cpu_free
-                and memory <= server.memory_free_mb - server.swap_reserved_mb
-            ):
-                continue
-            if gpu == 0:
-                return server_id
-            if not (gpu_ok and gpu <= server._gpu_free_max):
-                continue
-            have = profile_of(server_id)
-            if (None if have is None else have.name) == want:
-                return server_id
-        return None
-
-    def _sorted_free(self) -> List[Tuple[float, int]]:
-        """The ascending free-capacity index, rebuilt only when stale.
+    def _best_fit(self, requests, server_masks=None, allowed=None):
+        """:meth:`Cluster.best_fit` ranked at the efficiency beta.
 
         Keyed with the *efficiency* beta so the best-fit shortcut ranks
         servers exactly as Eq. 10 would score them; under dynamic beta
         the static ``cluster.beta`` ordering can disagree with the
         argmax once the free CPU/GPU ratio drifts.
         """
-        beta = self._efficiency_beta()
-        if (
-            self._free_index is None
-            or self._free_index_version != self.cluster.version
-            or self._free_index_beta != beta
-        ):
-            self._free_index = self.cluster.sorted_weighted_free(beta)
-            self._free_index_version = self.cluster.version
-            self._free_index_beta = beta
-        return self._free_index
+        return self.cluster.best_fit(
+            requests, self._efficiency_beta(), server_masks, allowed
+        )
 
     # ------------------------------------------------------------------
     # Schedule() (Algorithm 1, lines 1-15)
@@ -402,12 +282,11 @@ class GreedyScheduler:
             for b in sorted(batch_choices(self.config_space.max_batch), reverse=True)
             if b <= function.model.max_batch
         ]
-        sorted_free = self._sorted_free()
 
         while remaining > 1e-9:
             if max_instances is not None and len(outcome.instances) >= max_instances:
                 break
-            placed = self._schedule_one(function, remaining, batches, sorted_free)
+            placed = self._schedule_one(function, remaining, batches)
             if placed is None:
                 if allow_partial:
                     break
@@ -427,29 +306,23 @@ class GreedyScheduler:
         function: FunctionSpec,
         remaining: float,
         batches: Sequence[int],
-        sorted_free: List[Tuple[float, int]],
     ) -> Optional[Instance]:
         """One iteration of the outer while loop: place one instance."""
         for batch in batches:
             if self._hetero and self.selection == "efficiency":
-                best = self._select_placement_hetero(
-                    function, batch, sorted_free, remaining
-                )
+                best = self._select_placement_hetero(function, batch, remaining)
                 if best is None:
                     continue
             else:
                 candidates = self.available_configs(function, batch, remaining)
                 if not candidates:
                     continue  # try the next largest batchsize
-                best = self._select_placement(
-                    function, candidates, sorted_free, remaining
-                )
+                best = self._select_placement(function, candidates, remaining)
                 if best is None:
                     continue
             config, t_exec, bounds, server_id = best
             resources = self._instance_resources(function, config)
             placement = self.cluster.allocate(server_id, resources)
-            self._update_sorted_free(sorted_free, server_id)
             if self.coplacement is not None:
                 self.coplacement.record(function.name, server_id)
             return Instance(
@@ -462,7 +335,7 @@ class GreedyScheduler:
             )
         return None
 
-    def _select_placement(self, function, candidates, sorted_free, remaining):
+    def _select_placement(self, function, candidates, remaining):
         """Argmax of e_ij over feasible (config, server) pairs.
 
         The Eq. 2 objective minimises the resources used for the
@@ -474,13 +347,12 @@ class GreedyScheduler:
         """
         if self.selection == "max_rps":
             return self._select_greedy(
-                function, candidates, sorted_free,
-                key=lambda row: row[2].r_up,
+                function, candidates, key=lambda row: row[2].r_up,
             )
         if self.selection == "max_density":
             beta = self.cluster.beta
             return self._select_greedy(
-                function, candidates, sorted_free,
+                function, candidates,
                 key=lambda row: rps_per_resource(
                     min(row[2].r_up, remaining), row[0].cpu, row[0].gpu, beta
                 ),
@@ -500,39 +372,44 @@ class GreedyScheduler:
         # are bit-identical; the module attribute is still read per
         # call so ablations may vary FRAGMENTATION_FLOOR.
         floor = _efficiency.FRAGMENTATION_FLOOR
-        server_of = self.cluster.server
+        requests = [
+            self._instance_resources(function, config)
+            for config, _t, _bounds in candidates
+        ]
+        servers, server_costs = self._best_fit(requests)
         hint = self.coplacement
         preferred = (
             hint.preferred_servers(function.name)
             if hint is not None and hint.tracks(function.name)
             else ()
         )
+        if preferred:
+            pref_servers, pref_costs = self._best_fit(
+                requests, allowed=self.cluster.server_mask(preferred)
+            )
         best_score = -1.0
         best = None
         pref_score = -1.0
         pref_best = None
-        for (config, t_exec, bounds), density in zip(candidates, densities):
-            resources = self._instance_resources(function, config)
-            server_id = self._best_server_for(resources, sorted_free, beta)
-            if server_id is None:
+        for index, ((config, t_exec, bounds), density) in enumerate(
+            zip(candidates, densities)
+        ):
+            server_id = servers[index]
+            if server_id < 0:
                 continue
-            server = server_of(server_id)
             instance_cost = beta * config.cpu + config.gpu
-            server_cost = beta * server.cpu_free + server.gpu_free
             scaled = min(1.0, density / normaliser)
-            score = scaled / max(1.0 - instance_cost / server_cost, floor)
+            score = scaled / max(
+                1.0 - instance_cost / server_costs[index], floor
+            )
             if score > best_score:
                 best_score = score
                 best = (config, t_exec, bounds, server_id)
             if preferred and server_id not in preferred:
-                pref_id = self._best_server_within(
-                    resources, sorted_free, beta, preferred
-                )
-                if pref_id is not None:
-                    pserver = server_of(pref_id)
-                    p_cost = beta * pserver.cpu_free + pserver.gpu_free
+                pref_id = pref_servers[index]
+                if pref_id >= 0:
                     p_score = scaled / max(
-                        1.0 - instance_cost / p_cost, floor
+                        1.0 - instance_cost / pref_costs[index], floor
                     )
                     if p_score > pref_score:
                         pref_score = p_score
@@ -552,9 +429,7 @@ class GreedyScheduler:
                 hint.observe(False)
         return best
 
-    def _select_placement_hetero(
-        self, function, batch, sorted_free, remaining
-    ):
+    def _select_placement_hetero(self, function, batch, remaining):
         """Eq. 10 argmax over (config, generation, server) triples.
 
         Each GPU generation prices the same ``<b, c, g>`` grid
@@ -565,50 +440,42 @@ class GreedyScheduler:
         Eq. 10 still compares generations against each other.
         """
         beta = self._efficiency_beta()
-        pools = []
-        for profile in self._profile_order:
-            rows = self.available_configs(
+        rows = []
+        generations = []
+        for generation, profile in enumerate(self._profile_order, start=1):
+            for row in self.available_configs(
                 function, batch, remaining, gpu_profile=profile
-            )
-            if profile is None:
+            ):
+                rows.append(row)
                 # CPU-only rows are generation-independent: they may
-                # land anywhere, including GPU-less and non-baseline
-                # servers.
-                pools.extend(
-                    (row, None, row[0].gpu == 0) for row in rows
+                # land anywhere (mask 0), including GPU-less and
+                # non-baseline servers.
+                generations.append(
+                    0 if profile is None and row[0].gpu == 0 else generation
                 )
-            else:
-                pools.extend((row, profile, False) for row in rows)
-        if not pools:
+        if not rows:
             return None
         densities = [
             rps_per_resource(
                 min(row[2].r_up, remaining), row[0].cpu, row[0].gpu, beta
             )
-            for row, _profile, _any_server in pools
+            for row in rows
         ]
         normaliser = max(densities)
         # Eq. 10 inlined exactly as in _select_placement.
         floor = _efficiency.FRAGMENTATION_FLOOR
-        server_of = self.cluster.server
+        servers, server_costs = self._best_fit(
+            [self._instance_resources(function, row[0]) for row in rows],
+            server_masks=self._generation_masks[generations],
+        )
         best_score = -1.0
         best = None
-        for (row, profile, any_server), density in zip(pools, densities):
-            config, t_exec, bounds = row
-            resources = self._instance_resources(function, config)
-            if any_server:
-                server_id = self._best_server_for(
-                    resources, sorted_free, beta
-                )
-            else:
-                server_id = self._best_server_for_profile(
-                    resources, sorted_free, beta, profile
-                )
-            if server_id is None:
+        for (config, t_exec, bounds), density, server_id, server_cost in zip(
+            rows, densities, servers, server_costs
+        ):
+            if server_id < 0:
                 continue
-            server = server_of(server_id)
             instance_cost = beta * config.cpu + config.gpu
-            server_cost = beta * server.cpu_free + server.gpu_free
             scaled = min(1.0, density / normaliser)
             score = scaled / max(1.0 - instance_cost / server_cost, floor)
             if score > best_score:
@@ -616,7 +483,7 @@ class GreedyScheduler:
                 best = (config, t_exec, bounds, server_id)
         return best
 
-    def _select_greedy(self, function, candidates, sorted_free, key):
+    def _select_greedy(self, function, candidates, key):
         """Packing-blind selection used by the RS ablations of Fig. 11.
 
         Config choice ignores Eq. 10 and placement degrades to
@@ -629,32 +496,6 @@ class GreedyScheduler:
                 if server.can_fit(resources):
                     return (config, t_exec, bounds, server.server_id)
         return None
-
-    def _update_sorted_free(
-        self, sorted_free: List[Tuple[float, int]], server_id: int
-    ) -> None:
-        """Re-key the index after our own allocation.
-
-        An allocation moves the free CPU/GPU ratio, so under dynamic
-        beta *every* key may be stale, not just the touched server's;
-        rebuild in place when beta moved, else re-key the one server.
-        """
-        beta = self._efficiency_beta()
-        if beta != self._free_index_beta:
-            sorted_free[:] = self.cluster.sorted_weighted_free(beta)
-        else:
-            for index, (_key, sid) in enumerate(sorted_free):
-                if sid == server_id:
-                    del sorted_free[index]
-                    break
-            server = self.cluster.server(server_id)
-            bisect.insort(
-                sorted_free, (server.weighted_free(beta), server_id)
-            )
-        # The index now reflects the cluster state after our own
-        # allocation; keep the cache valid across schedule() calls.
-        self._free_index_beta = beta
-        self._free_index_version = self.cluster.version
 
     # ------------------------------------------------------------------
     # release

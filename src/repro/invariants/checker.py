@@ -227,6 +227,16 @@ class InvariantChecker:
                         swap_server, 0.0
                     ) + getattr(entry, "swap_mb", 0.0)
         for server in cluster.servers:
+            drift = cluster.mirror_drift(server)
+            if drift:
+                self._flag(
+                    "resource_conservation",
+                    now,
+                    f"server {server.server_id}: placement mirror out of"
+                    f" date for {', '.join(drift)}",
+                    server=server.server_id,
+                    fields=drift,
+                )
             if not server.healthy:
                 continue
             # Audit the raw bookkeeping fields: the ResourceVector views

@@ -131,6 +131,16 @@ class TestResourceConservation:
             sim.invariants.check_placement_ownership(sim, 0.0)
         assert "leak" in excinfo.value.violation.message
 
+    def test_stale_placement_mirror_detected(self, predictor, executor):
+        sim, _fn = make_sim(predictor, executor)
+        server = sim.platform.cluster.servers[0]
+        server.swap_reserved_mb = 1024.0  # bypass Cluster.swap_reserve
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.invariants.check_resource_conservation(sim, 0.0)
+        violation = excinfo.value.violation
+        assert "mirror" in violation.message
+        assert violation.details["fields"] == ["host_memory_available_mb"]
+
     def test_failed_server_excluded(self, predictor, executor):
         sim, _fn = make_sim(predictor, executor)
         cluster = sim.platform.cluster

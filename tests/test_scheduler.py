@@ -167,7 +167,7 @@ class TestConfigCacheKey:
 
 
 class TestDynamicBetaIndexConsistency:
-    """Regression: the best-fit server index was keyed with the static
+    """Regression: the best-fit server ranking was keyed with the static
     ``cluster.beta`` while e_ij scoring used the dynamic beta, so the
     best-fit shortcut no longer returned the argmax server."""
 
@@ -179,42 +179,60 @@ class TestDynamicBetaIndexConsistency:
         cluster.allocate(0, ResourceVector(cpu=12, memory_mb=1024))
         cluster.allocate(1, ResourceVector(cpu=8, gpu=60, memory_mb=1024))
 
+    def _ranking(self, scheduler):
+        """(weighted free, id) of every server, in best-fit order.
+
+        Repeatedly asks the scheduler's best-fit query where an empty
+        request goes, excluding the servers it already named.
+        """
+        from repro.cluster.resources import ResourceVector
+
+        cluster = scheduler.cluster
+        left = [server.server_id for server in cluster.servers]
+        ranking = []
+        while left:
+            (pick,), (free,) = scheduler._best_fit(
+                [ResourceVector()], allowed=cluster.server_mask(left)
+            )
+            ranking.append((free, pick))
+            left.remove(pick)
+        return ranking
+
     def test_free_index_keyed_with_efficiency_beta(self, cluster, predictor):
         scheduler = GreedyScheduler(cluster, predictor, dynamic_beta=True)
         self._skew_free_ratio(cluster)
         beta = scheduler._efficiency_beta()
         assert beta != pytest.approx(cluster.beta)
-        index = scheduler._sorted_free()
         expected = sorted(
             (server.weighted_free(beta), server.server_id)
             for server in cluster.servers
         )
-        assert index == pytest.approx(expected)
+        assert self._ranking(scheduler) == pytest.approx(expected)
 
     def test_index_rekeyed_after_placements_change_beta(
         self, cluster, predictor
     ):
         scheduler = GreedyScheduler(cluster, predictor, dynamic_beta=True)
         self._skew_free_ratio(cluster)
+        before = scheduler._efficiency_beta()
         fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
         scheduler.schedule(fn, residual_rps=400.0)
         beta = scheduler._efficiency_beta()
-        index = scheduler._sorted_free()
+        assert beta != pytest.approx(before)
         expected = sorted(
             (server.weighted_free(beta), server.server_id)
             for server in cluster.servers
         )
-        assert index == pytest.approx(expected)
+        assert self._ranking(scheduler) == pytest.approx(expected)
 
     def test_static_beta_index_unchanged(self, cluster, predictor):
         scheduler = GreedyScheduler(cluster, predictor, dynamic_beta=False)
         self._skew_free_ratio(cluster)
-        index = scheduler._sorted_free()
         expected = sorted(
             (server.weighted_free(cluster.beta), server.server_id)
             for server in cluster.servers
         )
-        assert index == pytest.approx(expected)
+        assert self._ranking(scheduler) == pytest.approx(expected)
 
 
 class TestDynamicBeta:
