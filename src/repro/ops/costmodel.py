@@ -24,12 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from repro.cluster.resources import CPU_CORE_GFLOPS, GPU_TOTAL_GFLOPS
 from repro.ops.catalog import get_operator_kind
 from repro.ops.operator import OperatorSpec
+
+#: a scalar, or a numpy array evaluated element-wise.
+Grid = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -77,23 +81,26 @@ class CostModel:
     # ------------------------------------------------------------------
     # throughput building blocks
     # ------------------------------------------------------------------
-    def _cpu_rate_gflops(self, spec: OperatorSpec, cpu: float, batch: int) -> float:
+    # ``batch``, ``cpu`` and ``gpu`` may be scalars or numpy arrays that
+    # broadcast together; the profiler evaluates its whole config grid
+    # in one call.  The products keep one left-to-right order, so a grid
+    # element equals the scalar call on that configuration bit for bit.
+    def _cpu_rate_gflops(self, spec: OperatorSpec, cpu: Grid, batch: Grid) -> Grid:
         kind = get_operator_kind(spec.kind_name)
-        cores = float(cpu)
+        cores = cpu
         if kind.memory_bound:
-            cores = min(cores, float(self.hardware.membound_cpu_cap))
+            cores = np.minimum(cpu, float(self.hardware.membound_cpu_cap))
         # CPUs see a moderate batching benefit from better cache/vector
         # utilisation; saturates quicker than GPUs.
         util = batch / (batch + 0.6)
         return cores * self.hardware.cpu_core_gflops * kind.cpu_efficiency * util
 
-    def _gpu_rate_gflops(self, spec: OperatorSpec, gpu: float, batch: int) -> float:
-        if gpu <= 0:
-            return 0.0
+    def _gpu_rate_gflops(self, spec: OperatorSpec, gpu: Grid, batch: Grid) -> Grid:
         kind = get_operator_kind(spec.kind_name)
-        share = float(gpu)
+        # No SM share (gpu <= 0), no GPU rate: the product below is 0.
+        share = gpu * (gpu > 0)
         if kind.memory_bound:
-            share = min(share, float(self.hardware.membound_gpu_cap))
+            share = np.minimum(share, float(self.hardware.membound_gpu_cap))
         util = batch / (batch + kind.gpu_saturation_batch)
         return (share / 100.0) * self.hardware.gpu_total_gflops * kind.gpu_efficiency * util
 
@@ -101,8 +108,8 @@ class CostModel:
     # operator time
     # ------------------------------------------------------------------
     def operator_time(
-        self, spec: OperatorSpec, batch: int, cpu: float, gpu: float
-    ) -> float:
+        self, spec: OperatorSpec, batch: Grid, cpu: Grid, gpu: Grid
+    ) -> Grid:
         """Noise-free execution time of one operator node for a batch.
 
         Args:
@@ -114,11 +121,13 @@ class CostModel:
 
         Returns:
             Seconds to execute all ``spec.calls`` invocations of the
-            operator on a batch of ``batch`` items.
+            operator on a batch of ``batch`` items: a ``float`` for
+            scalar arguments, otherwise an array of their broadcast
+            shape.
         """
-        if batch < 1:
+        if np.count_nonzero(batch < 1):
             raise ValueError("batch must be >= 1")
-        if cpu <= 0 and gpu <= 0:
+        if np.count_nonzero((cpu <= 0) & (gpu <= 0)):
             raise ValueError("an instance needs CPU and/or GPU resources")
         kind = get_operator_kind(spec.kind_name)
         rate = self._cpu_rate_gflops(spec, cpu, batch) + self._gpu_rate_gflops(
@@ -126,7 +135,8 @@ class CostModel:
         )
         work_gflops = spec.total_gflops_per_item * batch
         dispatch = kind.dispatch_overhead_s * spec.calls
-        return dispatch + work_gflops / rate
+        time_s = dispatch + work_gflops / rate
+        return time_s if isinstance(time_s, np.ndarray) else float(time_s)
 
     def serving_overhead(self, batch: int) -> float:
         """Per-invocation serving-framework overhead (RPC, serialisation)."""
@@ -135,17 +145,23 @@ class CostModel:
     # ------------------------------------------------------------------
     # noisy measurement
     # ------------------------------------------------------------------
-    def sample_time(self, mean_time: float, rng: np.random.Generator) -> float:
+    def sample_time(self, mean_time: Grid, rng: np.random.Generator) -> Grid:
         """Draw one noisy 'measured' duration around a model-time mean.
 
         Uses a log-normal multiplicative factor with unit mean so that
-        repeated profiling converges to the analytic curve.
+        repeated profiling converges to the analytic curve.  An array of
+        means draws one factor per element in C order, the stream one
+        scalar call per element would draw.
         """
         sigma = self.hardware.noise_sigma
         if sigma <= 0:
             return mean_time
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) == 1 for this mu.
         mu = -0.5 * sigma * sigma
+        if isinstance(mean_time, np.ndarray):
+            factors = rng.lognormal(mean=mu, sigma=sigma, size=mean_time.shape)
+            factors *= mean_time
+            return factors
         return mean_time * float(rng.lognormal(mean=mu, sigma=sigma))
 
     def throughput_items_per_s(

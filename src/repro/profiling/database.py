@@ -43,9 +43,22 @@ class ProfileDatabase:
         bisect.insort(series, (profile.input_size, profile.time_s))
         self._count += 1
 
-    def insert_many(self, profiles: List[OperatorProfile]) -> None:
-        for profile in profiles:
-            self.insert(profile)
+    def load_sorted(
+        self, operator: str, series: Dict[ConfigKey, List[Tuple[float, float]]]
+    ) -> None:
+        """Bulk-load one operator's ``(input_size, time)`` series per config.
+
+        Each series must already be sorted by ``(input_size, time)``, the
+        order :meth:`insert` keeps; a config that already holds points is
+        merged into the same order.
+        """
+        configs = self._store[operator]
+        for key, points in series.items():
+            stored = configs[key]
+            stored.extend(points)
+            if len(stored) > len(points):
+                stored.sort()
+            self._count += len(points)
 
     def __len__(self) -> int:
         return self._count
@@ -103,19 +116,21 @@ class ProfileDatabase:
         payload = json.loads(Path(path).read_text())
         db = cls()
         for operator, configs in payload.items():
+            loaded = {}
             for key_str, series in configs.items():
-                batch, cpu, gpu = (int(part) for part in key_str.split(","))
-                for input_size, time_s in series:
-                    db.insert(
-                        OperatorProfile(
-                            operator=operator,
-                            input_size=float(input_size),
-                            batch=batch,
-                            cpu=cpu,
-                            gpu=gpu,
-                            time_s=float(time_s),
-                        )
+                key = tuple(int(part) for part in key_str.split(","))
+                points = sorted(
+                    (float(input_size), float(time_s)) for input_size, time_s in series
+                )
+                # The checks OperatorProfile makes on a single insert.
+                if key[0] < 1:
+                    raise ValueError(f"{operator} {key_str}: batch must be >= 1")
+                if any(time_s <= 0 for _, time_s in points):
+                    raise ValueError(
+                        f"{operator} {key_str}: profiled time must be positive"
                     )
+                loaded[key] = points
+            db.load_sorted(operator, loaded)
         return db
 
 

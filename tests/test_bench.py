@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +32,12 @@ EVENT_QUEUE_FLOOR_EV_S = 25_000.0
 #: machine; the floor leaves ~10x headroom for CI jitter while still
 #: catching a decode-loop hot-path regression.
 LLM_DECODE_FLOOR_EV_S = 900.0
+
+#: ceiling, in seconds, on one uncached build of the default COP
+#: profile database.  The one-pass grid takes ~0.07 s on a 2-vCPU VM
+#: and the per-point loop it replaced ~2 s there, so the ceiling only
+#: catches a return to measuring point by point.
+COP_BUILD_CEILING_S = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -186,4 +194,39 @@ def test_llm_decode_throughput_floor():
     assert result.events_per_s >= LLM_DECODE_FLOOR_EV_S, (
         f"llm_decode throughput {result.events_per_s:,.0f} ev/s fell below"
         f" the {LLM_DECODE_FLOOR_EV_S:,.0f} ev/s regression floor"
+    )
+
+
+_COP_BUILD_DRIVER = r"""
+import json
+import time
+
+from repro.profiling import OperatorProfiler
+
+profiler = OperatorProfiler(seed=11)
+started = time.perf_counter()
+database = profiler.build_database()
+print(json.dumps({"elapsed_s": time.perf_counter() - started, "points": len(database)}))
+"""
+
+
+def test_cop_profile_build_floor():
+    """Profiling the whole operator catalog must stay one grid pass.
+
+    Times a fresh profiler (not the cached ``build_default_predictor``)
+    in a fresh interpreter, so the 80k-point database it builds and
+    drops does not reshape this process's heap for later tests.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", _COP_BUILD_DRIVER],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    measured = json.loads(result.stdout)
+    assert measured["points"] > 0
+    assert measured["elapsed_s"] < COP_BUILD_CEILING_S, (
+        f"building the COP profile database took {measured['elapsed_s']:.2f} s,"
+        f" above the {COP_BUILD_CEILING_S:.1f} s regression ceiling"
     )

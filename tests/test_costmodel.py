@@ -84,6 +84,29 @@ class TestOperatorTime:
     def test_time_always_positive(self, model, batch, cpu, gpu):
         assert model.operator_time(MATMUL, batch, cpu, gpu) > 0
 
+    @pytest.mark.parametrize("spec", [MATMUL, RELU, OperatorSpec("Add", 0.3, calls=7)])
+    def test_grid_equals_scalar_calls_bit_for_bit(self, model, spec):
+        # Fractional quotas (the Lambda baseline), GPU-only, CPU-only and
+        # a negative GPU share (treated as none) in one grid.
+        batch = np.array([1, 4, 32, 2, 8, 16])
+        cpu = np.array([0.5, 0.0, 8.0, 1.7, 16.0, 3.0])
+        gpu = np.array([0, 50, 100, 10, -10, 30])
+        grid = model.operator_time(spec, batch, cpu, gpu)
+        scalars = [
+            model.operator_time(spec, int(b), float(c), int(g))
+            for b, c, g in zip(batch, cpu, gpu)
+        ]
+        assert isinstance(scalars[0], float)
+        assert grid.tolist() == scalars
+        assert scalars[4] == model.operator_time(spec, 8, 16.0, 0)
+
+    def test_grid_checks_every_element(self, model):
+        ok = np.array([1, 2])
+        with pytest.raises(ValueError):
+            model.operator_time(MATMUL, np.array([1, 0]), ok, ok)
+        with pytest.raises(ValueError):
+            model.operator_time(MATMUL, ok, np.array([1, 0]), np.array([0, 0]))
+
 
 class TestServingOverhead:
     def test_grows_linearly_with_batch(self, model):
@@ -108,6 +131,13 @@ class TestNoise:
         a = model.sample_time(1.0, np.random.default_rng(7))
         b = model.sample_time(1.0, np.random.default_rng(7))
         assert a == b
+
+    def test_array_draws_the_scalar_stream(self, model):
+        means = np.arange(1.0, 13.0).reshape(2, 3, 2)
+        scalar_rng, array_rng = np.random.default_rng(3), np.random.default_rng(3)
+        expected = [model.sample_time(mean, scalar_rng) for mean in means.ravel().tolist()]
+        assert model.sample_time(means, array_rng).ravel().tolist() == expected
+        assert array_rng.random() == scalar_rng.random()
 
 
 class TestLambdaQuota:
