@@ -12,6 +12,7 @@ from _harness import emit, once
 from repro.analysis.reporting import format_table
 from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
+from repro.faults import FaultPlan, ServerCrash
 from repro.profiling import GroundTruthExecutor
 from repro.simulation import ServingSimulation
 from repro.workloads import constant_trace
@@ -30,10 +31,12 @@ def _run(predictor, inject):
         executor=GroundTruthExecutor(),
         workload={function.name: constant_trace(RPS, DURATION_S)},
         warmup_s=30.0,
+        faults=(
+            FaultPlan(events=(ServerCrash(at_s=FAIL_AT_S, server_id=0),))
+            if inject else None
+        ),
         seed=18,
     )
-    if inject:
-        simulation.schedule_server_failure(FAIL_AT_S, server_id=0)
     report = simulation.run()
     timeline = simulation.metrics.usage_timeline()
     return report, timeline, engine

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro import FunctionSpec, GroundTruthExecutor, INFlessEngine, ServingSimulation
-from repro.cluster import build_mixed_cluster, describe_cluster
+from repro.cluster import FleetSpec, ServerGroup
 from repro.profiling import build_default_predictor
 from repro.workloads import (
     aggregate,
@@ -46,8 +46,12 @@ def main() -> None:
           f" aggregate mean load {total.mean_rps:.1f} RPS\n")
 
     # 3. Serve the busiest functions on a heterogeneous cluster.
-    cluster = build_mixed_cluster(gpu_servers=2, cpu_servers=4)
-    print("cluster:", describe_cluster(cluster))
+    fleet = FleetSpec(groups=(
+        ServerGroup(count=2),  # GPU boxes: 16 cores, two GPUs each
+        ServerGroup(count=4, cpu=32, gpus=0),  # CPU-only nodes
+    ))
+    cluster = fleet.build_cluster()
+    print(f"cluster: {fleet.describe()}, beta={cluster.beta:.2f}")
     engine = INFlessEngine(cluster, predictor=build_default_predictor())
     workload = {}
     for name, model in zip(

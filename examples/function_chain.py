@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Inference function chains: the paper's section 7 future work.
 
-Runs the OSVT application as a *pipeline* -- every request flows
-through object detection (SSD), then license recognition (MobileNet),
-then vehicle classification (ResNet-50) -- with an end-to-end 400 ms
-SLO.  Each stage batches independently under INFless's rate control,
-and the report shows how the latency budget splits across stages.
+Runs the OSVT application as a *pipeline* workflow -- every request
+flows through object detection (SSD), then license recognition
+(MobileNet), then vehicle classification (ResNet-50) -- with an
+end-to-end 400 ms SLO.  Each stage batches independently under
+INFless's rate control, and the report shows how the latency budget
+splits across stages.
 
 Run:
     python examples/function_chain.py
@@ -31,15 +32,14 @@ def main() -> None:
     for function in app.as_chain_stages():  # per-stage SLO split
         engine.deploy(function)
 
-    print("OSVT as a chain:", " -> ".join(app.function_names()))
+    print("OSVT as a pipeline:", " -> ".join(app.function_names()))
     print(f"end-to-end SLO: {app.slo_s * 1e3:.0f} ms\n")
 
     simulation = ServingSimulation(
         platform=engine,
         executor=GroundTruthExecutor(),
         workload={app.entry_function.name: constant_trace(150.0, 180.0)},
-        chains=app.chain_map(),
-        end_to_end_slo_s=app.slo_s,
+        workflow=app.as_workflow(),
         warmup_s=30.0,
         seed=13,
     )

@@ -11,7 +11,6 @@ concrete baselines override configuration selection.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -369,15 +368,6 @@ class UniformScalingPlatform:
                     kept_entries.append(entry)
             self._warm[name] = kept_entries
         return lost
-
-    def handle_server_failure(self, server_id: int, now: float) -> List[Instance]:
-        """Deprecated alias of :meth:`on_server_failure`."""
-        warnings.warn(
-            "handle_server_failure is deprecated; use on_server_failure",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.on_server_failure(server_id, now)
 
     def should_shed(self, name: str, now: float, pending: int) -> bool:
         """Shed when the backlog exceeds the ready fleet's SLO budget."""

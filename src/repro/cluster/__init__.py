@@ -19,7 +19,6 @@ from repro.cluster.resources import (
 )
 from repro.cluster.server import GpuDevice, Server
 from repro.cluster.cluster import Cluster, Placement, build_testbed_cluster
-from repro.cluster.heterogeneous import build_mixed_cluster, describe_cluster
 from repro.cluster.fleet import (
     DEFAULT_GPU_PROFILE,
     GPU_PROFILES,
@@ -43,8 +42,6 @@ __all__ = [
     "Cluster",
     "Placement",
     "build_testbed_cluster",
-    "build_mixed_cluster",
-    "describe_cluster",
     "DEFAULT_GPU_PROFILE",
     "GPU_PROFILES",
     "FleetSpec",

@@ -402,21 +402,14 @@ class Cluster:
         return [server for server in self.servers if server.healthy]
 
 
-def build_testbed_cluster(
-    num_servers: int = 8,
-    cpu_per_server: int = 16,
-    gpus_per_server: int = 2,
-    memory_mb: int = 128 * 1024,
-    beta: float = BETA,
-) -> Cluster:
-    """Build the paper's local testbed: 8 machines, 16 GPUs total (Table 2)."""
-    servers = [
-        Server(
-            server_id=i,
-            cpu_capacity=cpu_per_server,
-            memory_capacity_mb=memory_mb,
-            num_gpus=gpus_per_server,
-        )
-        for i in range(num_servers)
-    ]
-    return Cluster(servers=servers, beta=beta)
+def build_testbed_cluster(num_servers: int = 8, gpus_per_server: int = 2) -> Cluster:
+    """Build the paper's local testbed: 8 machines, 16 GPUs total (Table 2).
+
+    The homogeneous special case of
+    :meth:`~repro.cluster.fleet.FleetSpec.build_cluster`, priced at the
+    paper's FLOPS-ratio ``BETA``.
+    """
+    from repro.cluster.fleet import FleetSpec
+
+    fleet = FleetSpec.homogeneous(servers=num_servers, gpus=gpus_per_server)
+    return fleet.build_cluster(beta=BETA)

@@ -9,7 +9,6 @@ this class only.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -205,15 +204,6 @@ class INFlessEngine:
         return self.autoscaler.evict_lost(
             ids, now, failed_server_ids={server_id}
         )
-
-    def handle_server_failure(self, server_id: int, now: float) -> List[Instance]:
-        """Deprecated alias of :meth:`on_server_failure`."""
-        warnings.warn(
-            "handle_server_failure is deprecated; use on_server_failure",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.on_server_failure(server_id, now)
 
     def should_shed(self, name: str, now: float, pending: int) -> bool:
         """Shed when the backlog exceeds the ready fleet's SLO budget."""

@@ -395,12 +395,11 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def check_latency_tiling(self, sim: object, now: float) -> None:
         # Retried requests spend time in the crashed attempt and the
-        # backoff window that no wait bucket sees: like chain and
-        # workflow stages, the parts then only lower-bound the
-        # end-to-end latency.
+        # backoff window that no wait bucket sees: like workflow
+        # stages, the parts then only lower-bound the end-to-end
+        # latency.
         chained = (
-            bool(sim.chains)
-            or getattr(sim, "workflow", None) is not None
+            getattr(sim, "workflow", None) is not None
             or getattr(sim, "_retries", 0) > 0
         )
         for record in sim.metrics.records:

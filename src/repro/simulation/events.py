@@ -20,8 +20,6 @@ class EventKind(enum.Enum):
     BATCH_COMPLETE = "batch_complete"
     #: the periodic auto-scaling control step.
     CONTROL_TICK = "control_tick"
-    #: an injected server failure (fault-tolerance experiments).
-    SERVER_FAILURE = "server_failure"
     #: a materialized fault-plan event fires (repro.faults).
     FAULT = "fault"
     #: a backed-off retry of a stranded request re-enters dispatch.

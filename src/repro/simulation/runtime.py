@@ -30,7 +30,6 @@ is bit-identical to a runtime without this machinery.
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import Counter, deque
 from dataclasses import asdict
 from typing import Deque, Dict, List, Optional, Union
@@ -68,7 +67,7 @@ from repro.telemetry import (
 )
 from repro.workloads.arrivals import sample_arrivals, sample_arrivals_window
 from repro.workloads.trace import Trace
-from repro.workflows.spec import WorkflowSpec, find_cycle
+from repro.workflows.spec import WorkflowSpec
 
 _request_ids = itertools.count()
 
@@ -172,18 +171,14 @@ class ServingSimulation:
             instance; beyond it arrivals are dropped.
         cold_queue_batches: how many batches may queue at an instance
             that is still cold-starting before arrivals drop.
-        chains: optional function-chain topology (the paper's section 7
-            future work): ``{"stage-a": "stage-b"}`` forwards every
-            completed stage-a request into stage-b's batch queues; the
-            SLO applies end to end and only the final stage records a
-            completion. Workload traces drive the chain's entry
-            functions only.  Deprecated in favour of ``workflow``.
         workflow: optional :class:`~repro.workflows.spec.WorkflowSpec`
-            DAG: stage completions fan out along the DAG's edges, join
+            DAG (the paper's section 7 function chains, generalised):
+            stage completions fan out along the DAG's edges, join
             barriers gate fan-in stages until every upstream copy
-            arrives, and the per-workflow deadline is judged when the
-            sink completes.  Mutually exclusive with ``chains``; adds
-            a ``workflows`` block to the report.
+            arrives, and the workflow's end-to-end SLO is judged when
+            the sink completes; only the sink records a completion and
+            only the entry stage may carry a workload trace.  Adds a
+            ``workflows`` block to the report.
         tracer: telemetry hooks; the default null tracer records
             nothing and costs one no-op call per hook site.  The tracer
             is also attached to the platform's control-plane components
@@ -220,9 +215,7 @@ class ServingSimulation:
         pending_cap: int = 100_000,
         cold_queue_batches: int = 64,
         warmup_s: float = 0.0,
-        chains: Optional[Dict[str, str]] = None,
         workflow: Optional[WorkflowSpec] = None,
-        end_to_end_slo_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
         timeline: Optional[TimelineRecorder] = None,
         invariants: Union[None, str, InvariantChecker] = None,
@@ -250,25 +243,22 @@ class ServingSimulation:
         self.pending_cap = pending_cap
         self.cold_queue_batches = cold_queue_batches
         self.warmup_s = warmup_s
-        self.chains = dict(chains or {})
-        for src, dst in self.chains.items():
-            if src == dst:
-                raise ValueError(f"chain stage {src!r} forwards to itself")
-        if workflow is not None and self.chains:
-            raise ValueError("pass either workflow= or chains=, not both")
-        #: the DAG workflow under test (None for plain and legacy
-        #: chained runs); drives fan-out/fan-in forwarding, the
-        #: end-to-end deadline at the sink and the report's
-        #: ``workflows`` block.
+        #: the DAG workflow under test (None for plain runs); drives
+        #: fan-out/fan-in forwarding, the end-to-end deadline at the
+        #: sink and the report's ``workflows`` block.
         self.workflow = workflow
         self._wf_tracking = workflow is not None
-        #: chained requests are judged against the end-to-end budget,
+        #: workflow requests are judged against the end-to-end budget,
         #: while each stage's (smaller) function SLO drives its batch
-        #: deadline; defaults to the entry function's SLO when unset.
-        self.end_to_end_slo_s = end_to_end_slo_s
+        #: deadline.
+        self.end_to_end_slo_s: Optional[float] = None
+        #: stage -> downstream stages (only stages with successors).
+        self._successors: Dict[str, tuple] = {}
+        self._fan_in: Dict[str, int] = {}
+        #: functions the control loop manages: the trace-driven ones.
+        self._managed = list(workload)
         if workflow is not None:
-            if self.end_to_end_slo_s is None:
-                self.end_to_end_slo_s = workflow.end_to_end_slo_s
+            self.end_to_end_slo_s = workflow.end_to_end_slo_s
             stage_names = set(workflow.stage_names())
             entry = workflow.entry
             for name in workload:
@@ -281,34 +271,16 @@ class ServingSimulation:
                 raise ValueError(
                     f"workflow entry stage {entry!r} needs a workload trace"
                 )
-            #: stage -> downstream stages (only stages with successors).
-            self._successors: Dict[str, tuple] = {
+            self._successors = {
                 s.name: s.downstream for s in workflow.stages if s.downstream
             }
-            self._fan_in: Dict[str, int] = workflow.fan_in()
-            # Functions the control loop must manage: trace-driven
-            # functions plus the DAG's interior stages in topological
-            # order (upstream rates settle before downstream ones read
-            # their forwarded arrivals).
-            self._managed = list(dict.fromkeys(
-                list(workload)
-                + [n for n in workflow.topological_order() if n not in workload]
-            ))
-        else:
-            self._successors = {
-                src: (dst,) for src, dst in self.chains.items()
-            }
-            cycle = find_cycle(self._successors)
-            if cycle is not None:
-                raise ValueError(
-                    f"chains contain a cycle: {' -> '.join(cycle)}"
-                )
-            self._fan_in = {}
-            # Functions the control loop must manage: trace-driven entry
-            # stages plus every chained downstream stage.
-            self._managed = list(
-                dict.fromkeys(list(workload) + list(self.chains.values()))
-            )
+            self._fan_in = workflow.fan_in()
+            # The DAG's interior stages join in topological order
+            # (upstream rates settle before downstream ones read their
+            # forwarded arrivals).
+            self._managed += [
+                n for n in workflow.topological_order() if n not in workload
+            ]
         # -- workflow bookkeeping (all zero outside workflow mode) ------
         #: (stage, root) -> tokens waiting at a fan-in join barrier.
         self._join_barriers: Dict[tuple, List[Request]] = {}
@@ -413,7 +385,6 @@ class ServingSimulation:
         self.loop.on(EventKind.BATCH_TIMEOUT, self._on_wake)
         self.loop.on(EventKind.BATCH_COMPLETE, self._on_batch_complete)
         self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
-        self.loop.on(EventKind.SERVER_FAILURE, self._on_server_failure)
         self.loop.on(EventKind.FAULT, self._on_fault)
         self.loop.on(EventKind.RETRY, self._on_retry)
 
@@ -445,10 +416,9 @@ class ServingSimulation:
             self._schedule_arrival_times(name, times)
 
     def _arrival_slo(self, name: str) -> float:
-        slo = self.platform.function(name).slo_s
-        if self._successors and self.end_to_end_slo_s is not None:
-            slo = self.end_to_end_slo_s
-        return slo
+        if self._successors:
+            return self.end_to_end_slo_s
+        return self.platform.function(name).slo_s
 
     def _schedule_arrival_times(self, name: str, times: np.ndarray) -> None:
         """Turn sampled arrival instants into heap events."""
@@ -755,25 +725,9 @@ class ServingSimulation:
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def schedule_server_failure(self, at_s: float, server_id: int) -> None:
-        """Deprecated: put a ``ServerCrash`` in a ``FaultPlan`` instead."""
-        warnings.warn(
-            "schedule_server_failure is deprecated; pass a FaultPlan with a"
-            " ServerCrash event instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.loop.schedule(at_s, EventKind.SERVER_FAILURE, server_id)
-
-    def _on_server_failure(self, event: Event) -> None:
-        self._crash_server(event.payload)
-
     def _crash_server(self, server_id: int) -> None:
         """Kill one machine through the platform's failure hook."""
         handler = getattr(self.platform, "on_server_failure", None)
-        if handler is None:
-            # Pre-protocol platforms may still carry the old hook name.
-            handler = getattr(self.platform, "handle_server_failure", None)
         if handler is None:
             raise RuntimeError(
                 f"{type(self.platform).__name__} cannot handle server failures"
@@ -897,12 +851,7 @@ class ServingSimulation:
         request.arrival = self.loop.now
         self._dispatch(request)
 
-    def _forward(
-        self,
-        request: Request,
-        next_stage: str,
-        root_id: Optional[int] = None,
-    ) -> None:
+    def _forward(self, request: Request, next_stage: str, root_id: int) -> None:
         """Hand a completed stage's request to the next stage."""
         now = self.loop.now
         follow_on = Request(
@@ -912,12 +861,11 @@ class ServingSimulation:
             origin_arrival=request.origin,
             root_id=root_id,
         )
-        if self._wf_tracking:
-            self._stage_injected[next_stage] += 1
-            if self._trace:
-                self.tracer.workflow_stage(
-                    follow_on.root, follow_on.request_id, next_stage, now
-                )
+        self._stage_injected[next_stage] += 1
+        if self._trace:
+            self.tracer.workflow_stage(
+                root_id, follow_on.request_id, next_stage, now
+            )
         self._arrivals_since_tick[next_stage] += 1
         self.platform.record_invocation(next_stage, now)
         self._dispatch(follow_on)
@@ -930,15 +878,10 @@ class ServingSimulation:
     ) -> None:
         """Route one completed stage token along its outgoing edges.
 
-        Legacy chains (no workflow attached) have exactly one successor
-        and forward unconditionally -- the original behaviour.  In
-        workflow mode the token fans out to every downstream stage,
-        waits at fan-in join barriers until all sibling copies arrive,
-        and is silently absorbed when its root already failed.
+        The token fans out to every downstream stage, waits at fan-in
+        join barriers until all sibling copies arrive, and is silently
+        absorbed when its root already failed.
         """
-        if not self._wf_tracking:
-            self._forward(request, successors[0])
-            return
         root = request.root
         stage = request.function
         if request.origin >= self.warmup_s:

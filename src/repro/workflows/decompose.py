@@ -68,8 +68,7 @@ def decompose_slo(
     """Per-stage SLO budgets (seconds) under ``policy``.
 
     ``"independent"`` gives every stage the full end-to-end budget --
-    the pre-workflow behaviour of the chains path, kept as the
-    comparison baseline.  ``"decomposed"`` splits the budget
+    the naive per-stage behaviour, kept as the comparison baseline.  ``"decomposed"`` splits the budget
     proportionally to predicted ``t_exec`` along the critical path,
     floored at ``MIN_BUDGET_FACTOR * t_exec`` so every stage keeps an
     Eq. 1-feasible budget, and capped at the end-to-end budget.

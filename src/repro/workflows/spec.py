@@ -4,9 +4,9 @@ INFless's evaluation applications (OSVT, Q&A robot) are multi-stage
 pipelines, and the paper's section 7 names chained functions as future
 work.  :class:`WorkflowSpec` is the declarative model for them: a DAG
 of named stages over zoo models, fan-out/fan-in edges, and a single
-*end-to-end* latency SLO judged at the sink.  It supersedes the linear
-``ServingSimulation(chains={src: dst})`` dict, which is kept as a
-deprecated shim compiling to a path-shaped workflow.
+*end-to-end* latency SLO judged at the sink.  A linear pipeline is
+the path-shaped special case (:meth:`WorkflowSpec.linear`, or
+``Application.as_workflow()`` for the evaluation applications).
 
 Like :class:`~repro.cluster.fleet.FleetSpec`, the spec JSON
 round-trips (``to_dict``/``from_dict``) and :meth:`WorkflowSpec.coerce`
@@ -32,10 +32,9 @@ def find_cycle(
 ) -> Optional[List[str]]:
     """First cycle in a successor map, as a closed node path, or None.
 
-    Shared by :class:`WorkflowSpec` validation and the legacy
-    ``ServingSimulation(chains=...)`` constructor: a cycle through two
-    or more stages (``a -> b -> a``) would forward requests forever at
-    completion time, so both surfaces must reject it at construction.
+    Used by :class:`WorkflowSpec` validation: a cycle through two or
+    more stages (``a -> b -> a``) would forward requests forever at
+    completion time, so it is rejected at construction.
     """
     WHITE, GREY, BLACK = 0, 1, 2
     color: Dict[str, int] = {}
@@ -76,8 +75,7 @@ class WorkflowStage:
     Attributes:
         name: the stage's function name (unique within the workflow).
         model: zoo model the stage runs (may be empty for topologies
-            whose functions are deployed out of band, e.g. the chains
-            shim).
+            whose functions are deployed out of band).
         downstream: names of the stages this stage fans out to; empty
             for the sink.
     """
@@ -301,45 +299,6 @@ class WorkflowSpec:
             ))
         return cls(
             name=name, stages=tuple(built), end_to_end_slo_s=end_to_end_slo_s
-        )
-
-    @classmethod
-    def from_chains(
-        cls,
-        chains: Dict[str, str],
-        end_to_end_slo_s: float,
-        name: str = "chain",
-        models: Optional[Dict[str, str]] = None,
-    ) -> "WorkflowSpec":
-        """Compile a legacy ``chains={src: dst}`` dict to a path workflow.
-
-        The deprecated linear-chain shim: the dict must describe a
-        single path (each stage at most one successor and one
-        predecessor -- guaranteed by the dict shape plus the validation
-        here).
-        """
-        if not chains:
-            raise ValueError("from_chains needs a non-empty chains dict")
-        targets = list(chains.values())
-        if len(set(targets)) != len(targets):
-            raise ValueError(
-                "chains must be a path: two stages forward to the same stage"
-            )
-        heads = [src for src in chains if src not in set(targets)]
-        if len(heads) != 1:
-            raise ValueError(
-                "chains must be a single path with one entry stage"
-            )
-        order = [heads[0]]
-        while order[-1] in chains:
-            order.append(chains[order[-1]])
-        if len(order) != len(chains) + 1:
-            raise ValueError("chains must form one connected path")
-        models = models or {}
-        return cls.linear(
-            name=name,
-            stages=[(stage, models.get(stage, "")) for stage in order],
-            end_to_end_slo_s=end_to_end_slo_s,
         )
 
     # ------------------------------------------------------------------

@@ -65,22 +65,12 @@ class Application:
         return [fn.name for fn in self.functions]
 
     # ------------------------------------------------------------------
-    # function-chain view (the paper's section 7 future work)
+    # pipeline view (the paper's section 7 function chains)
     # ------------------------------------------------------------------
     @property
     def entry_function(self) -> FunctionSpec:
-        """The first stage when the application runs as a chain."""
+        """The first stage when the application runs as a pipeline."""
         return self.functions[0]
-
-    def chain_map(self) -> Dict[str, str]:
-        """Consecutive stage topology for ServingSimulation(chains=...).
-
-        ``{stage_i: stage_{i+1}}`` -- e.g. OSVT as a pipeline runs
-        object detection, then license recognition, then vehicle
-        classification on each request.
-        """
-        names = self.function_names()
-        return {src: dst for src, dst in zip(names[:-1], names[1:])}
 
     def as_chain_stages(self) -> List[FunctionSpec]:
         """Stage functions with the end-to-end SLO split across stages.
@@ -89,7 +79,7 @@ class Application:
         the latency budget, otherwise three stages each waiting up to
         ``slo - t_exec`` blow the end-to-end target.  The split is
         uniform; deploy these (instead of ``functions``) when running
-        the application as a chain.
+        the application as a pipeline with its own stage functions.
         """
         per_stage = self.slo_s / len(self.functions)
         return [
@@ -100,9 +90,10 @@ class Application:
     def as_workflow(self) -> "WorkflowSpec":
         """The application as a linear :class:`WorkflowSpec`.
 
-        The DAG view of :meth:`chain_map`: same stage order, but with
-        the end-to-end SLO carried on the workflow itself so the
-        platform (not a uniform split) decides per-stage budgets.
+        Consecutive stages -- e.g. OSVT runs object detection, then
+        license recognition, then vehicle classification on each
+        request -- with the end-to-end SLO carried on the workflow
+        itself.
         """
         from repro.workflows.spec import WorkflowSpec
 

@@ -159,64 +159,6 @@ class TestExperiment:
         assert experiment.build() is experiment.build()
 
 
-class TestDeprecationShims:
-    def test_handle_server_failure_warns(self, predictor):
-        engine = INFlessEngine(
-            build_testbed_cluster(num_servers=2), predictor=predictor
-        )
-        with pytest.warns(DeprecationWarning, match="on_server_failure"):
-            engine.handle_server_failure(0, now=0.0)
-
-    def test_baseline_handle_server_failure_warns(self, predictor):
-        platform = OpenFaaSPlus(
-            build_testbed_cluster(num_servers=2), predictor
-        )
-        with pytest.warns(DeprecationWarning, match="on_server_failure"):
-            platform.handle_server_failure(0, now=0.0)
-
-    def test_schedule_server_failure_warns_and_matches_plan(
-        self, predictor, executor
-    ):
-        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
-        workload = {fn.name: constant_trace(100.0, 20.0)}
-
-        def run_legacy():
-            engine = INFlessEngine(
-                build_testbed_cluster(num_servers=2), predictor=predictor
-            )
-            engine.deploy(fn)
-            sim = ServingSimulation(
-                platform=engine,
-                executor=executor,
-                workload=workload,
-                seed=6,
-            )
-            with pytest.warns(DeprecationWarning, match="FaultPlan"):
-                sim.schedule_server_failure(8.0, server_id=0)
-            return sim.run()
-
-        def run_plan():
-            return Experiment(
-                platform="infless",
-                servers=2,
-                predictor=predictor,
-                functions=[fn],
-                workload=workload,
-                executor=executor,
-                faults=FaultPlan(
-                    events=(ServerCrash(at_s=8.0, server_id=0),)
-                ),
-                seed=6,
-            ).run()
-
-        legacy = _report_dict(run_legacy())
-        plan = _report_dict(run_plan())
-        # The plan path additionally reports the resilience block; the
-        # serving outcome itself is identical.
-        plan.pop("resilience")
-        assert legacy == plan
-
-
 class TestExperimentSpec:
     """to_spec/from_spec: the pure-data round-trip campaigns rely on."""
 
@@ -269,3 +211,15 @@ class TestExperimentSpec:
         spec["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
             Experiment.from_spec(spec)
+
+    def test_spec_rejects_unknown_keys(self):
+        # A retired option and a typo must not silently run a
+        # different experiment.
+        retired = self._experiment().to_spec()
+        retired["chains"] = {"fn-mobilenet": "fn-resnet-50"}
+        with pytest.raises(ValueError, match="unknown .*: chains"):
+            Experiment.from_spec(retired)
+        typo = self._experiment().to_spec()
+        typo["warmup"] = 5.0
+        with pytest.raises(ValueError, match="unknown .*: warmup$"):
+            Experiment.from_spec(typo)

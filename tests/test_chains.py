@@ -1,4 +1,6 @@
-"""Tests for inference function chains (section 7 future work)."""
+"""Tests for the topology of inference function chains (section 7 future
+work).  Chains run as linear workflows; their execution is covered in
+``tests/test_workflows.py``."""
 
 import pytest
 
@@ -6,39 +8,22 @@ from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
 from repro.profiling import GroundTruthExecutor
 from repro.simulation import ServingSimulation
+from repro.workflows import WorkflowSpec, WorkflowStage
 from repro.workloads import build_osvt, constant_trace
-
-
-def chain_simulation(predictor, rps=120.0, duration=120.0, slo=0.4, seed=12):
-    engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-    app = build_osvt(slo_s=slo)
-    for function in app.as_chain_stages():
-        engine.deploy(function)
-    workload = {app.entry_function.name: constant_trace(rps, duration)}
-    return (
-        ServingSimulation(
-            platform=engine,
-            executor=GroundTruthExecutor(),
-            workload=workload,
-            chains=app.chain_map(),
-            end_to_end_slo_s=app.slo_s,
-            warmup_s=30.0,
-            seed=seed,
-        ),
-        app,
-    )
 
 
 class TestChainTopology:
     def test_chain_map_is_consecutive(self):
         app = build_osvt()
-        assert app.chain_map() == {
-            "osvt-ssd": "osvt-mobilenet",
-            "osvt-mobilenet": "osvt-resnet-50",
-        }
+        assert app.as_workflow().edges() == [
+            ("osvt-ssd", "osvt-mobilenet"),
+            ("osvt-mobilenet", "osvt-resnet-50"),
+        ]
 
     def test_entry_function(self):
-        assert build_osvt().entry_function.name == "osvt-ssd"
+        app = build_osvt()
+        assert app.entry_function.name == "osvt-ssd"
+        assert app.as_workflow().entry == "osvt-ssd"
 
     def test_self_loop_rejected(self, predictor):
         engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
@@ -49,43 +34,11 @@ class TestChainTopology:
                 engine,
                 GroundTruthExecutor(),
                 {fn.name: constant_trace(10.0, 10.0)},
-                chains={fn.name: fn.name},
+                workflow=WorkflowSpec(
+                    name="loop",
+                    stages=(WorkflowStage(
+                        fn.name, model="mnist", downstream=(fn.name,)
+                    ),),
+                    end_to_end_slo_s=0.1,
+                ),
             )
-
-
-class TestChainExecution:
-    @pytest.fixture(scope="class")
-    def report_and_sim(self, predictor):
-        sim, app = chain_simulation(predictor)
-        return sim.run(), sim, app
-
-    def test_only_final_stage_completes(self, report_and_sim):
-        report, _sim, app = report_and_sim
-        functions = {r.function for r in _sim.metrics.records}
-        assert functions == {app.functions[-1].name}
-
-    def test_end_to_end_conservation(self, report_and_sim):
-        report, _sim, _app = report_and_sim
-        assert report.completed + report.dropped == report.arrived
-
-    def test_end_to_end_latency_spans_stages(self, report_and_sim):
-        report, sim, _app = report_and_sim
-        # Three stages of execution: the mean end-to-end latency must
-        # exceed any single stage's execution time.
-        assert report.latency_mean_s > report.mean_exec_s
-
-    def test_all_stages_scaled(self, report_and_sim):
-        _report, sim, app = report_and_sim
-        for function in app.functions:
-            assert sim.platform.instances(function.name), function.name
-
-    def test_chain_meets_relaxed_slo(self, report_and_sim):
-        report, _sim, _app = report_and_sim
-        assert report.violation_rate < 0.05
-        assert report.drop_rate < 0.05
-
-    def test_downstream_rates_follow_entry(self, report_and_sim):
-        _report, sim, app = report_and_sim
-        entry = sim._rate_estimate[app.functions[0].name]
-        tail = sim._rate_estimate[app.functions[-1].name]
-        assert tail == pytest.approx(entry, rel=0.5)

@@ -16,7 +16,7 @@ from repro.core.histogram import IdleTimeHistogram
 
 
 def lsth(**kwargs):
-    """LSTH via the registry (direct construction is deprecated)."""
+    """LSTH via the registry (same object as direct construction)."""
     return build_coldstart_policy("lsth", **kwargs)
 
 
@@ -170,14 +170,14 @@ class TestHybridHistogramPolicy:
 
 
 class TestLongShortTermHistogram:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="build_coldstart_policy"):
-            LongShortTermHistogram()
-
     def test_registry_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            lsth(gamma=0.5)
+            registry = lsth(gamma=0.5)
+            direct = LongShortTermHistogram(gamma=0.5)
+        # Both ways in build the same policy.
+        assert type(registry) is type(direct)
+        assert vars(registry) == vars(direct)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from repro.baselines import OpenFaaSPlus
 from repro.cluster import ResourceVector, build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine, InstanceState
 from repro.faults import FaultPlan, ServerCrash
-from repro.profiling import GroundTruthExecutor
 from repro.simulation import ServingSimulation
 from repro.workloads import constant_trace
 
@@ -84,11 +83,6 @@ class TestEngineFailureHandling:
         engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
         assert engine.on_server_failure(3, now=0.0) == []
 
-    def test_legacy_handler_name_warns_and_delegates(self, predictor):
-        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-        with pytest.warns(DeprecationWarning, match="on_server_failure"):
-            assert engine.handle_server_failure(3, now=0.0) == []
-
     def test_baseline_platform_handles_failure(self, predictor):
         platform = OpenFaaSPlus(build_testbed_cluster(), predictor)
         fn = FunctionSpec.for_model("mobilenet", slo_s=0.2)
@@ -125,24 +119,6 @@ class TestRuntimeFaultInjection:
         # re-provisioning dip, not the service.
         assert report.completed > 0.9 * report.arrived
         assert engine.autoscaler.stats.failures >= 0
-        assert not engine.cluster.server(0).healthy
-
-    def test_legacy_schedule_api_warns_but_still_works(
-        self, predictor, executor
-    ):
-        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
-        engine.deploy(fn)
-        sim = ServingSimulation(
-            platform=engine,
-            executor=executor,
-            workload={fn.name: constant_trace(100.0, 30.0)},
-            seed=18,
-        )
-        with pytest.warns(DeprecationWarning, match="FaultPlan"):
-            sim.schedule_server_failure(10.0, server_id=0)
-        report = sim.run()
-        assert report.completed > 0
         assert not engine.cluster.server(0).healthy
 
     def test_unsupported_platform_raises(self, predictor, executor):

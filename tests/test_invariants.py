@@ -12,7 +12,7 @@ Two halves:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baselines import BatchOTP, BatchRS, OpenFaaSPlus
 from repro.cluster import build_testbed_cluster
@@ -30,7 +30,7 @@ from repro.invariants import (
 from repro.profiling.configspace import InstanceConfig
 from repro.simulation import ServingSimulation
 from repro.simulation.metrics import RequestRecord
-from repro.workloads import constant_trace
+from repro.workloads import Application, build_osvt, constant_trace
 
 
 def make_sim(predictor, executor, *, platform=None, invariants="strict",
@@ -335,24 +335,38 @@ class TestDifferentialSuite:
         assert report.completed + report.dropped <= report.arrived
         assert sum(report.drop_reasons.values()) == report.dropped
 
-    @given(seed=st.integers(0, 2**16))
+    @given(seed=st.integers(0, 2**16), overloaded_osvt=st.just(False))
+    # Overloaded OSVT: the retired chains= path booked drops of
+    # warm-up requests at drop time, so completed+dropped exceeded
+    # arrived here (12109 > 12108); workflows book each drop against
+    # the request's origin cohort.
+    @example(seed=2, overloaded_osvt=True)
     @settings(
         max_examples=3, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_chained_workload_conserves(self, predictor, executor, seed):
-        cluster = build_testbed_cluster(num_servers=2)
+    def test_chained_workload_conserves(
+        self, predictor, executor, seed, overloaded_osvt
+    ):
+        if overloaded_osvt:
+            app = build_osvt(slo_s=0.4)
+            servers, rps, duration_s, warmup_s = 8, 400.0, 40.0, 10.0
+        else:
+            app = Application("pipeline", [
+                FunctionSpec.for_model("mobilenet", slo_s=0.4, name="stage-a"),
+                FunctionSpec.for_model("mnist", slo_s=0.4, name="stage-b"),
+            ])
+            servers, rps, duration_s, warmup_s = 2, 20.0, 8.0, 0.0
+        cluster = build_testbed_cluster(num_servers=servers)
         engine = INFlessEngine(cluster, predictor=predictor)
-        entry = FunctionSpec.for_model("mobilenet", slo_s=0.2, name="stage-a")
-        tail = FunctionSpec.for_model("mnist", slo_s=0.2, name="stage-b")
-        engine.deploy(entry)
-        engine.deploy(tail)
+        for function in app.as_chain_stages():
+            engine.deploy(function)
         sim = ServingSimulation(
             engine,
             executor,
-            {entry.name: constant_trace(20.0, 8.0)},
-            chains={entry.name: tail.name},
-            end_to_end_slo_s=0.4,
+            {app.entry_function.name: constant_trace(rps, duration_s)},
+            workflow=app.as_workflow(),
+            warmup_s=warmup_s,
             invariants="strict",
             seed=seed,
         )

@@ -1,11 +1,14 @@
 """Tests for ``repro.workflows``: DAG specs, SLO decomposition,
-co-placement, workflow execution, and the chains compatibility shim.
+co-placement, workflow execution, and linear pipelines (the paper's
+section 7 function chains).
 
 The two golden files under ``tests/data/`` pin exact behaviour:
 
-- ``golden_chain_report.json``: the deprecated ``chains=`` path,
-  generated *before* the workflow subsystem landed.  Byte-identity
-  here proves the shim left legacy runs untouched.
+- ``golden_chain_report.json``: OSVT as a three-stage pipeline with a
+  uniform per-stage SLO split, generated *before* the workflow
+  subsystem landed.  The same run through ``workflow=`` must
+  reproduce it byte for byte, apart from the ``workflows`` block the
+  workflow path adds.
 - ``golden_workflow_report.json``: the diamond fan-out/fan-in
   scenario, pinning workflow determinism going forward.  Regenerate
   (deliberate behaviour changes only) with::
@@ -60,7 +63,7 @@ def diamond_workflow() -> WorkflowSpec:
 
 
 def chain_shim_report(predictor=None):
-    """The exact pre-workflow ``chains=`` recipe the golden pins."""
+    """The pre-workflow pipeline recipe the golden pins, run as a workflow."""
     from repro.profiling import build_default_predictor
 
     app = build_osvt(slo_s=0.4)
@@ -74,14 +77,14 @@ def chain_shim_report(predictor=None):
         platform=engine,
         executor=GroundTruthExecutor(),
         workload={app.entry_function.name: constant_trace(120.0, 60.0)},
-        chains=app.chain_map(),
-        end_to_end_slo_s=app.slo_s,
+        workflow=app.as_workflow(),
         warmup_s=10.0,
         invariants="off",
         seed=12,
     )
     report = simulation.run().to_dict()
     report.pop("scheduling_overhead_s", None)
+    report.pop("workflows")
     return report
 
 
@@ -120,17 +123,26 @@ class TestWorkflowSpec:
     def test_linear_matches_app_chain(self):
         app = build_osvt()
         workflow = app.as_workflow()
+        assert app.entry_function.name == "osvt-ssd"
         assert workflow.entry == app.entry_function.name
         assert workflow.topological_order() == [
             fn.name for fn in app.functions
         ]
+        assert workflow.successors() == {
+            "osvt-ssd": ("osvt-mobilenet",),
+            "osvt-mobilenet": ("osvt-resnet-50",),
+            "osvt-resnet-50": (),
+        }
         assert workflow.end_to_end_slo_s == app.slo_s
 
     def test_from_chains_round_trip(self):
         app = build_qa_robot()
-        workflow = WorkflowSpec.from_chains(
-            app.chain_map(), end_to_end_slo_s=app.slo_s
+        workflow = WorkflowSpec.linear(
+            name=app.name,
+            stages=[(fn.name, fn.model.name) for fn in app.functions],
+            end_to_end_slo_s=app.slo_s,
         )
+        assert workflow == app.as_workflow()
         assert workflow.sink == app.functions[-1].name
 
     def test_diamond_topology_helpers(self):
@@ -197,13 +209,9 @@ class TestChainShimGolden:
         golden = json.loads(CHAIN_GOLDEN.read_text())
         current = json.loads(json.dumps(chain_shim_report(predictor)))
         assert current == golden, (
-            "the deprecated chains= path diverged from its pre-workflow"
-            " golden -- the workflow subsystem leaked into legacy runs"
+            "the OSVT pipeline run through workflow= diverged from its"
+            " pre-workflow golden"
         )
-
-    def test_chain_report_has_no_workflows_block(self, predictor):
-        report = chain_shim_report(predictor)
-        assert "workflows" not in report
 
 
 class TestDiamondGolden:
@@ -289,6 +297,57 @@ class TestWorkflowExecution:
         assert "workflow_complete" in kinds
 
 
+class TestChainExecution:
+    """OSVT as a linear pipeline with a uniform per-stage SLO split."""
+
+    @pytest.fixture(scope="class")
+    def report_and_sim(self, predictor):
+        app = build_osvt(slo_s=0.4)
+        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
+        for function in app.as_chain_stages():
+            engine.deploy(function)
+        sim = ServingSimulation(
+            platform=engine,
+            executor=GroundTruthExecutor(),
+            workload={app.entry_function.name: constant_trace(120.0, 120.0)},
+            workflow=app.as_workflow(),
+            warmup_s=30.0,
+            seed=12,
+        )
+        return sim.run(), sim, app
+
+    def test_only_final_stage_completes(self, report_and_sim):
+        _report, sim, app = report_and_sim
+        functions = {r.function for r in sim.metrics.records}
+        assert functions == {app.functions[-1].name}
+
+    def test_end_to_end_conservation(self, report_and_sim):
+        report, _sim, _app = report_and_sim
+        assert report.completed + report.dropped == report.arrived
+
+    def test_end_to_end_latency_spans_stages(self, report_and_sim):
+        report, _sim, _app = report_and_sim
+        # Three stages of execution: the mean end-to-end latency must
+        # exceed any single stage's execution time.
+        assert report.latency_mean_s > report.mean_exec_s
+
+    def test_all_stages_scaled(self, report_and_sim):
+        _report, sim, app = report_and_sim
+        for function in app.functions:
+            assert sim.platform.instances(function.name), function.name
+
+    def test_chain_meets_relaxed_slo(self, report_and_sim):
+        report, _sim, _app = report_and_sim
+        assert report.violation_rate < 0.05
+        assert report.drop_rate < 0.05
+
+    def test_downstream_rates_follow_entry(self, report_and_sim):
+        _report, sim, app = report_and_sim
+        entry = sim._rate_estimate[app.functions[0].name]
+        tail = sim._rate_estimate[app.functions[-1].name]
+        assert tail == pytest.approx(entry, rel=0.5)
+
+
 class TestOracleRateRegression:
     """Satellite 1: interior stages in oracle mode get the true
     forwarded rate, not an EWMA cold-start blend."""
@@ -304,8 +363,7 @@ class TestOracleRateRegression:
             platform=engine,
             executor=GroundTruthExecutor(),
             workload={app.entry_function.name: constant_trace(100.0, 10.0)},
-            chains=app.chain_map(),
-            end_to_end_slo_s=app.slo_s,
+            workflow=app.as_workflow(),
             rate_mode="oracle",
             invariants="off",
             seed=1,
@@ -323,8 +381,7 @@ class TestOracleRateRegression:
             platform=engine,
             executor=GroundTruthExecutor(),
             workload={app.entry_function.name: constant_trace(100.0, 10.0)},
-            chains=app.chain_map(),
-            end_to_end_slo_s=app.slo_s,
+            workflow=app.as_workflow(),
             rate_mode="oracle",
             invariants="off",
             seed=1,
@@ -334,24 +391,6 @@ class TestOracleRateRegression:
 
 class TestCycleDetection:
     """Satellite 2: multi-stage cycles fail at construction, loudly."""
-
-    def _two_functions(self, predictor):
-        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-        a = FunctionSpec.for_model("mnist", 0.1, name="a")
-        b = FunctionSpec.for_model("mnist", 0.1, name="b")
-        engine.deploy(a)
-        engine.deploy(b)
-        return engine, a, b
-
-    def test_chain_two_cycle_rejected(self, predictor):
-        engine, a, b = self._two_functions(predictor)
-        with pytest.raises(ValueError, match="contain a cycle"):
-            ServingSimulation(
-                engine,
-                GroundTruthExecutor(),
-                {a.name: constant_trace(10.0, 10.0)},
-                chains={"a": "b", "b": "a"},
-            )
 
     def test_workflow_cycle_rejected(self):
         with pytest.raises(ValueError, match="contains a cycle"):
@@ -398,9 +437,21 @@ class TestWorkflowRejections:
         with pytest.raises(ValueError, match="resilience"):
             Experiment(**self._kwargs(resilience=True))
 
-    def test_workflow_and_chains_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
+    def test_chains_keywords_are_gone(self, predictor):
+        # Pipelines have one way in: workflow=, which carries its own
+        # end-to-end SLO.
+        app = build_osvt()
+        with pytest.raises(TypeError, match="chains"):
+            ServingSimulation(
+                INFlessEngine(build_testbed_cluster(), predictor=predictor),
+                GroundTruthExecutor(),
+                {app.entry_function.name: constant_trace(10.0, 10.0)},
+                chains={"osvt-ssd": "osvt-mobilenet"},
+            )
+        with pytest.raises(TypeError, match="chains"):
             Experiment(**self._kwargs(chains={"a": "b"}))
+        with pytest.raises(TypeError, match="end_to_end_slo_s"):
+            Experiment(**self._kwargs(end_to_end_slo_s=0.4))
 
     def test_workflow_and_functions_mutually_exclusive(self):
         function = FunctionSpec.for_model("mnist", 0.1)
