@@ -20,10 +20,13 @@ dominates the discrete engine's percentiles.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.batching import InfeasibleBatchError, rate_bounds
 from repro.core.dispatcher import ALPHA_DEFAULT
@@ -66,20 +69,82 @@ FILL_Z_ATOMS: Sequence[Tuple[float, float]] = (
 )
 
 
-def _erlang_quantile(k: float, rate: float, z: float) -> float:
-    """Wilson-Hilferty quantile of an Erlang(k, rate) waiting time.
+#: the z and weight columns of :data:`FILL_Z_ATOMS` and the weights of
+#: :data:`NOISE_ATOMS`, as arrays for the one-pass emission.
+_FILL_Z = np.array([z for z, _weight in FILL_Z_ATOMS])
+_FILL_WEIGHTS = np.array([weight for _z, weight in FILL_Z_ATOMS])
+_NOISE_WEIGHTS = np.array([weight for _z, weight in NOISE_ATOMS])
+_UNIT_WEIGHT = np.array([1.0])
 
-    The wait for ``k`` further Poisson arrivals at ``rate`` is
-    Gamma(k, rate); the Wilson-Hilferty cube transform maps a standard
-    normal z-score to its quantile with relative error well under the
-    sketch resolution for the shapes batching produces (k in 1..15).
+
+@functools.lru_cache(maxsize=None)  # keyed by batch size: a few dozen
+def _fill_shape(batch: int) -> Tuple[np.ndarray, ...]:
+    """The rate-free part of :func:`_fill_pattern` for one batch size.
+
+    Per entry (stratum, then z): the arrivals ``k`` still to wait for,
+    the Wilson-Hilferty cube root ``c``, whether that quantile is
+    positive, the arrivals ``j - 1`` already waited for, and the
+    entry's weight.  A spent stratum (``k <= 1e-9``) keeps one entry of
+    weight ``1.0`` whose quantile is never positive, so it waits 0.
     """
-    if k <= 0.0 or rate <= 0.0:
-        return 0.0
-    c = 1.0 - 1.0 / (9.0 * k) + z * math.sqrt(1.0 / (9.0 * k))
-    if c <= 0.0:
-        return 0.0
-    return (k / rate) * c * c * c
+    strata = min(batch, FILL_ATOMS)
+    s = np.arange(strata, dtype=float)
+    # Batch position per stratum (1-based): exact when the batch fits
+    # in the strata budget, midpoint-sampled above.
+    if batch <= FILL_ATOMS:
+        j = s + 1.0
+    else:
+        j = 1 + (batch - 1) * (s + 0.5) / strata
+    k = batch - j  # remaining arrivals to wait for
+    live = (k > 1e-9)[:, None]
+    k = np.where(live, k[:, None], 1.0)  # no division by a spent stratum
+    c = 1.0 - 1.0 / (9.0 * k) + _FILL_Z * np.sqrt(1.0 / (9.0 * k))
+    keep = live | (np.arange(len(FILL_Z_ATOMS)) == 0)
+    columns = [
+        np.broadcast_to(column, c.shape)[keep]
+        for column in (
+            k,
+            c,
+            live & (c > 0.0),
+            (j - 1.0)[:, None],
+            np.where(live, _FILL_WEIGHTS, 1.0),
+        )
+    ]
+    for column in columns:
+        column.flags.writeable = False
+    return tuple(columns)
+
+
+def _fill_pattern(
+    batch: int, timeout_s: float, lam_inst: float
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Batch-fill waits for fresh (unqueued) arrivals at one rate.
+
+    Stratifies the batch position ``j``: position ``j`` waits for
+    ``b - j`` more arrivals, an Erlang(b - j, lam) time capped by the
+    timeout *remaining* when it joined (the batch timer runs from the
+    first request, which arrived ``j - 1`` arrivals earlier).  Erlang
+    quantiles come from the Wilson-Hilferty cube approximation at the
+    tail-refined z strata: the wait for ``k`` further Poisson arrivals
+    is Gamma(k, rate), and the cube transform maps a standard normal
+    z-score to its quantile with relative error well under the sketch
+    resolution for the shapes batching produces (k in 1..15).
+
+    Returns ``(waits, weights, strata)`` in emission order (stratum,
+    then z): a piece of mass ``m`` contributes ``m / strata *
+    weights[i]`` at ``waits[i]``.  Every operation rounds as its scalar
+    ``math`` form does, so the atoms are bit-identical to a per-atom
+    loop.
+    """
+    if batch <= 1 or lam_inst <= 0.0:
+        fill = timeout_s if batch > 1 else 0.0
+        return np.array([0.0 + fill]), _UNIT_WEIGHT, 1
+    k, c, positive, waited, weights = _fill_shape(batch)
+    erlang = np.where(positive, (k / lam_inst) * c * c * c, 0.0)
+    cap = np.maximum(0.0, timeout_s - waited / lam_inst)
+    # Fresh arrivals carry no backlog wait: 0.0 + fill, which also
+    # maps a -0.0 fill to 0.0 as the scalar sum does.
+    return 0.0 + np.minimum(erlang, cap), weights, min(batch, FILL_ATOMS)
 
 
 @dataclass(frozen=True)
@@ -614,6 +679,14 @@ class FunctionFluid:
             key = row.key
             prev = groups.get(key)
             groups[key] = (row, 1 if prev is None else prev[1] + 1)
+        # One (wait, mass) entry per atom before the noise fan-out, in
+        # emission order: groups by key, then pieces, then the fill
+        # pattern's strata and z; each group's execution noise row.
+        waits: List[np.ndarray] = []
+        masses: List[np.ndarray] = []
+        noise_rows: List[List[float]] = []
+        entries: List[int] = []
+        sigma = self.noise_sigma
         for key in sorted(groups):
             row, count = groups[key]
             share = row.r_up * count / capacity
@@ -631,74 +704,82 @@ class FunctionFluid:
                 self.config_hist.get(key, 0.0) + group_served
             )
             self.batches_served += group_served / row.batch
+            before = len(waits)
+            pattern = None
             for backlog_wait, piece_mass in pieces:
                 mass = piece_mass * share
                 if mass <= 0.0:
                     continue
                 if backlog_wait > 1e-9:
                     # Batches fill instantly from a standing backlog.
-                    self._emit_atoms(row, backlog_wait, 0.0, mass)
-                else:
-                    self._emit_fill_atoms(row, lam_fill, mass)
+                    waits.append(np.array([backlog_wait]))
+                    masses.append(np.array([mass]))
+                    continue
+                if pattern is None:
+                    pattern = _fill_pattern(row.batch, row.timeout_s, lam_fill)
+                fill_waits, weights, strata = pattern
+                waits.append(fill_waits)
+                masses.append(mass / strata * weights)
+            if len(waits) > before:
+                noise_rows.append([
+                    row.t_exec_actual * math.exp(sigma * z)
+                    for z, _weight in NOISE_ATOMS
+                ])
+                entries.append(sum(w.size for w in waits[before:]))
+        if waits:
+            self._emit(
+                np.concatenate(waits),
+                np.concatenate(masses),
+                np.repeat(np.array(noise_rows), entries, axis=0),
+            )
 
-    def _emit_fill_atoms(
-        self, row: ConfigRow, lam_inst: float, mass: float
+    def _emit(
+        self, wait: np.ndarray, mass: np.ndarray, exec_s: np.ndarray
     ) -> None:
-        """Batch-fill waits for fresh (unqueued) arrivals.
+        """Fan entries out over the noise atoms into the sums and sketch.
 
-        Stratifies the batch position ``j``: position ``j`` waits for
-        ``b - j`` more arrivals, an Erlang(b - j, lam) time capped by
-        the timeout *remaining* when it joined (the batch timer runs
-        from the first request, which arrived ``j - 1`` arrivals
-        earlier).  Erlang quantiles come from the Wilson-Hilferty cube
-        approximation at the tail-refined z strata.
+        ``exec_s`` holds each entry's five noise-scaled execution
+        times.  The running sums fold left to right from their current
+        value (``np.add.accumulate``, never the pairwise ``np.sum``),
+        and the sketch's fractional carry is threaded through the
+        atoms one by one, so every bit matches a per-atom loop.
         """
-        batch = row.batch
-        if batch <= 1 or lam_inst <= 0.0:
-            fill = row.timeout_s if batch > 1 else 0.0
-            self._emit_atoms(row, 0.0, fill, mass)
-            return
-        strata = min(batch, FILL_ATOMS)
-        for s in range(strata):
-            # Batch position for this stratum (1-based): exact when the
-            # batch fits in the strata budget, midpoint-sampled above.
-            if batch <= FILL_ATOMS:
-                j = float(s + 1)
-            else:
-                j = 1 + (batch - 1) * (s + 0.5) / strata
-            k = batch - j  # remaining arrivals to wait for
-            stratum_mass = mass / strata
-            if k <= 1e-9:
-                self._emit_atoms(row, 0.0, 0.0, stratum_mass)
-                continue
-            cap = max(0.0, row.timeout_s - (j - 1.0) / lam_inst)
-            for z, weight in FILL_Z_ATOMS:
-                fill = min(_erlang_quantile(k, lam_inst, z), cap)
-                self._emit_atoms(row, 0.0, fill, stratum_mass * weight)
-
-    def _emit_atoms(
-        self, row: ConfigRow, base_wait: float, fill: float, mass: float
-    ) -> None:
-        """One wait value x the execution-noise atoms -> the sketch."""
+        latency = wait[:, None] + exec_s
+        atom = mass[:, None] * _NOISE_WEIGHTS
         slo = self.function.slo_s
-        sigma = self.noise_sigma
-        wait = base_wait + fill
-        for z, weight in NOISE_ATOMS:
-            exec_s = row.t_exec_actual * math.exp(sigma * z)
-            latency = wait + exec_s
-            atom = mass * weight
-            self.latency_sum += atom * latency
-            self.queue_wait_sum += atom * wait
-            self.exec_sum += atom * exec_s
-            if latency > slo + 1e-9:
-                self.violations_kept += atom
-            # Integer-count sketch feed with a deterministic
-            # fractional carry so totals are preserved.
-            scaled = atom + self._sketch_carry
-            count = int(scaled)
-            self._sketch_carry = scaled - count
-            if count:
-                self.sketch.add(latency, count)
+        terms = np.empty((4, atom.size + 1))
+        terms[:, 0] = (
+            self.latency_sum,
+            self.queue_wait_sum,
+            self.exec_sum,
+            self.violations_kept,
+        )
+        terms[0, 1:] = (atom * latency).ravel()
+        terms[1, 1:] = (atom * wait[:, None]).ravel()
+        terms[2, 1:] = (atom * exec_s).ravel()
+        terms[3, 1:] = np.where(latency > slo + 1e-9, atom, 0.0).ravel()
+        (
+            self.latency_sum,
+            self.queue_wait_sum,
+            self.exec_sum,
+            self.violations_kept,
+        ) = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        # Integer-count sketch feed with a deterministic fractional
+        # carry so totals are preserved.  The carry's rounding depends
+        # on order, so it stays a sequential fold; the fold keeps only
+        # the carries (``fmod`` is the exact fractional part, as
+        # ``scaled - int(scaled)`` is) and the counts are rebuilt from
+        # them with the same additions.
+        atom = atom.ravel()
+        carry = self._sketch_carry
+        fmod = math.fmod
+        carries = [carry := fmod(value + carry, 1.0) for value in atom.tolist()]
+        before = np.empty_like(atom)
+        before[0] = self._sketch_carry
+        before[1:] = carries[:-1]
+        self._sketch_carry = carry
+        counts = (atom + before).astype(np.int64)
+        self.sketch.add_many(latency.ravel(), counts)
 
     def _sample_usage(self, now: float, dt: float, kept_tick: bool) -> None:
         weighted = 0.0

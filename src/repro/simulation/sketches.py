@@ -6,9 +6,11 @@ serving stacks stream their percentiles through mergeable sketches
 instead.  :class:`QuantileSketch` is an HDR-histogram-style logarithmic
 sketch with three properties the campaign layer leans on:
 
-* **deterministic** -- bucketing uses ``math.frexp`` (exact integer
-  arithmetic on the float's exponent/mantissa), never ``log``, so the
-  same inputs land in the same bins on every platform and run;
+* **deterministic** -- bucketing uses ``frexp`` (exact integer
+  arithmetic on the float's exponent/mantissa; ``math.frexp`` per
+  value, ``np.frexp`` in :meth:`QuantileSketch.add_many`), never
+  ``log``, so the same inputs land in the same bins on every platform
+  and run;
 * **partition-independent merging** -- every derived statistic
   (quantiles, mean, min, max, count) is a pure function of the merged
   bins, and bins merge by integer addition, so sharding a workload
@@ -27,13 +29,31 @@ touch at most a few thousand bins regardless of sample count.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 #: sketch serialization schema version.
 SKETCH_SCHEMA = 1
 
 #: default linear subdivisions per power of two (~0.2% midpoint error).
 DEFAULT_SUBBUCKETS = 256
+
+
+def _check_entry(value: float, count) -> None:
+    """Reject what :meth:`QuantileSketch.add` may not record.
+
+    The value is checked even when ``count`` is zero (nothing is
+    silently accepted), and a count must be a non-negative integer: a
+    fractional bin would not survive :meth:`QuantileSketch.to_dict`.
+    """
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(
+            f"sketch values must be finite and non-negative, got {value!r}"
+        )
+    if not isinstance(count, Integral) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count}")
 
 
 class QuantileSketch:
@@ -62,14 +82,10 @@ class QuantileSketch:
     def add(self, value: float, count: int = 1) -> None:
         """Record ``value`` ``count`` times."""
         value = float(value)
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        _check_entry(value, count)
         if not count:
             return
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(
-                f"sketch values must be finite and non-negative, got {value!r}"
-            )
+        count = int(count)
         if value == 0.0:
             self._zeros += count
         else:
@@ -79,6 +95,67 @@ class QuantileSketch:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
+
+    def add_many(self, values, counts) -> None:
+        """Record ``values[i]`` ``counts[i]`` times, for every ``i``.
+
+        The result is bit-identical to calling :meth:`add` on each pair
+        in order, and invalid input raises the error that loop would
+        raise first; unlike the loop, nothing is recorded then.  An
+        integer array of counts takes the vectorised path (counts must
+        fit in int64).
+        """
+        raw_counts = counts
+        values = np.asarray(values, dtype=np.float64)
+        counts = np.asarray(counts)
+        if values.ndim != 1 or counts.shape != values.shape:
+            raise ValueError(
+                "values and counts must be 1-D and of equal length, got"
+                f" shapes {values.shape} and {counts.shape}"
+            )
+        if counts.dtype.kind not in "iu":
+            # Not an integer array: check entry by entry, as add() would.
+            for value, count in zip(values.tolist(), raw_counts):
+                _check_entry(value, count)
+            counts = counts.astype(np.int64)
+        bad = ~np.isfinite(values) | (values < 0.0) | (counts < 0)
+        if bad.any():
+            first = int(np.argmax(bad))
+            _check_entry(float(values[first]), counts[first])
+        live = counts > 0
+        values = values[live]
+        counts = counts[live].astype(np.int64)
+        if not values.size:
+            return
+        positive = values > 0.0
+        self._zeros += int(counts[~positive].sum())
+        if positive.any():
+            self._add_bins(values[positive], counts[positive])
+        # argmin/argmax take the first of equal values, as the strict
+        # comparisons in add() keep the first one seen.
+        low = float(values[np.argmin(values)])
+        high = float(values[np.argmax(values)])
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+
+    def _add_bins(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """Bin positive ``values`` exactly as :meth:`_index` does."""
+        # frexp is exact, and the truncating cast rounds the subbucket
+        # as int() does.
+        mantissa, exponent = np.frexp(values)
+        sub = ((mantissa - 0.5) * 2.0 * self.subbuckets).astype(np.int64)
+        np.minimum(sub, self.subbuckets - 1, out=sub)
+        indices = exponent.astype(np.int64) * self.subbuckets + sub
+        # One dict update per distinct bin: sort, then sum each run.
+        order = np.argsort(indices)
+        indices = indices[order]
+        starts = np.flatnonzero(np.diff(indices, prepend=indices[0] - 1))
+        totals = np.add.reduceat(counts[order], starts)
+        bins = self._bins
+        for index, count in zip(indices[starts].tolist(), totals.tolist()):
+            bins[index] = bins.get(index, 0) + count
 
     def _index(self, value: float) -> int:
         mantissa, exponent = math.frexp(value)  # value = m * 2**e, m in [0.5, 1)

@@ -1,5 +1,8 @@
 """Tests for the mergeable quantile sketch (repro.simulation.sketches)."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,3 +139,115 @@ class TestSerialization:
         restored = QuantileSketch.from_dict(QuantileSketch().to_dict())
         assert restored.count == 0
         assert restored.quantile(50.0) == 0.0
+
+
+class TestValidation:
+    def test_fractional_counts_rejected(self):
+        # A fractional bin would not survive to_dict/from_dict.
+        sketch = QuantileSketch()
+        for bad in (2.5, 0.5, 2.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                sketch.add(0.1, bad)
+        assert sketch.to_dict() == QuantileSketch().to_dict()
+
+    def test_integer_counts_round_trip_exactly(self):
+        sketch = QuantileSketch()
+        sketch.add(0.1, 2)
+        sketch.add(0.1, np.int64(3))
+        payload = json.dumps(sketch.to_dict())
+        restored = QuantileSketch.from_dict(json.loads(payload))
+        assert json.dumps(restored.to_dict()) == payload
+        assert restored.count == 5
+
+    def test_value_checked_even_with_zero_count(self):
+        sketch = QuantileSketch()
+        for bad in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                sketch.add(bad, 0)
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                sketch.add_many([0.5, bad], [1, 0])
+        assert sketch.count == 0
+
+    def test_add_many_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            QuantileSketch().add_many([0.1, 0.2], [1])
+
+
+def _loop_add(sketch, values, counts):
+    for value, count in zip(values, counts):
+        sketch.add(value, count)
+
+
+def _outcome(action):
+    try:
+        action()
+    except Exception as error:  # compared with the loop, not swallowed
+        return type(error), str(error)
+    return None
+
+
+#: mantissas right next to 1.0 (the subbucket guard's edge), powers of
+#: two and their neighbours, zeros, and ordinary latencies.
+SKETCH_VALUES = st.one_of(
+    st.just(0.0),
+    st.builds(
+        math.ldexp,
+        st.sampled_from([0.5, math.nextafter(0.5, 1.0),
+                         math.nextafter(1.0, 0.0), 0.75]),
+        st.integers(-30, 30),
+    ),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(1e-300, 1e-3),
+)
+GOOD_COUNTS = st.integers(0, 5)
+
+
+class TestAddMany:
+    @given(
+        prefix=st.lists(st.tuples(SKETCH_VALUES, st.integers(1, 3)), max_size=4),
+        entries=st.lists(st.tuples(SKETCH_VALUES, GOOD_COUNTS), max_size=40),
+        subbuckets=st.sampled_from([1, 7, 256]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_loop_of_add(self, prefix, entries, subbuckets):
+        looped = QuantileSketch(subbuckets)
+        bulk = QuantileSketch(subbuckets)
+        for sketch in (looped, bulk):
+            for value, count in prefix:
+                sketch.add(value, count)
+        values = [value for value, _count in entries]
+        counts = [count for _value, count in entries]
+        _loop_add(looped, values, counts)
+        bulk.add_many(np.array(values, dtype=float), np.array(counts, dtype=int))
+        assert json.dumps(bulk.to_dict()) == json.dumps(looped.to_dict())
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.one_of(
+                    SKETCH_VALUES,
+                    st.sampled_from([-1.0, -0.5, float("nan"), float("inf")]),
+                ),
+                st.one_of(
+                    GOOD_COUNTS,
+                    st.integers(-3, -1),
+                    st.sampled_from([0.5, 2.5, 1.0]),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_invalid_input_raises_what_the_loop_raises(self, entries, as_array):
+        values = [value for value, _count in entries]
+        counts = [count for _value, count in entries]
+        if as_array:
+            counts = np.array(counts)
+        expected = _outcome(lambda: _loop_add(QuantileSketch(), values, counts))
+        bulk = QuantileSketch()
+        assert _outcome(lambda: bulk.add_many(values, counts)) == expected
+        if expected is not None:
+            # All or nothing: a rejected batch records nothing.
+            assert bulk.to_dict() == QuantileSketch().to_dict()
