@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, Dict, Iterable, Optional, Union
 
+from repro.api.capabilities import ENGINES, check_supported
 from repro.cluster.cluster import Cluster, build_testbed_cluster
 from repro.cluster.fleet import FleetSpec
 from repro.core.coldstart import COLDSTART_POLICIES
-from repro.core.engine import INFlessEngine
+from repro.core.engine import AUTOSCALERS, INFlessEngine
 from repro.core.function import FunctionSpec
 from repro.baselines.batch_otp import BatchOTP
 from repro.baselines.batch_rs import BatchRS
@@ -31,6 +32,7 @@ from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
 from repro.simulation.metrics import SimulationReport
 from repro.simulation.runtime import ServingSimulation
+from repro.specs import check_choice, reject_unknown_keys
 from repro.telemetry import InMemoryTracer, TimelineRecorder, Tracer
 from repro.workflows import (
     WORKFLOW_POLICIES,
@@ -53,10 +55,6 @@ SPEC_KEYS = frozenset({
     "workflow_policy", "metrics_mode", "arrival_mode", "arrival_window_s",
     "engine", "hot_k",
 })
-
-#: simulation engines: discrete-event ground truth, the continuous
-#: fluid approximation, or the hybrid top-K-discrete split.
-ENGINES = ("des", "fluid", "hybrid")
 
 #: registry name -> platform class; every entry follows the normalized
 #: ``(cluster, predictor, *, name, seed, ...)`` constructor shape.
@@ -94,6 +92,19 @@ def make_platform(
     if predictor is None:
         predictor = build_default_predictor()
     return platform_cls(cluster, predictor, **options)
+
+
+def _is_factory(spec: object) -> bool:
+    """A ``cluster -> platform`` callable, not a platform object."""
+    return callable(spec) and not hasattr(spec, "route")
+
+
+def _platform_kind(platform: object) -> str:
+    """The capability-table class of a platform object or class."""
+    if getattr(platform, "workload_class", "") == "autoregressive":
+        return "autoregressive"
+    cls = platform if isinstance(platform, type) else type(platform)
+    return "infless" if issubclass(cls, INFlessEngine) else "baseline"
 
 
 class Experiment:
@@ -161,12 +172,18 @@ class Experiment:
             continuous-time approximation
             (:class:`~repro.fluid.FluidSimulation`); ``"hybrid"``
             simulates the ``hot_k`` hottest functions discretely and
-            routes the tail through the fluid path.  See
+            routes the tail through the fluid path.  The fluid and
+            hybrid engines run ``platform="infless"`` only.  See
             ``docs/fluid-model.md`` for the accuracy envelope.
-        hot_k: hybrid-mode partition size (ignored by other engines).
+        hot_k: hybrid-mode partition size; any value but the default 1
+            needs ``engine="hybrid"``.
 
     The remaining keyword arguments mirror
     :class:`~repro.simulation.runtime.ServingSimulation` exactly.
+
+    Raises:
+        ValueError: at construction, for a combination the capability
+            table (:mod:`repro.api.capabilities`) does not support.
     """
 
     def __init__(
@@ -211,13 +228,9 @@ class Experiment:
         self.fleet = FleetSpec.coerce(fleet)
         if self.fleet is not None and cluster is not None:
             raise ValueError("pass either fleet= or cluster=, not both")
-        if coldstart is not None and coldstart not in COLDSTART_POLICIES:
-            known = ", ".join(COLDSTART_POLICIES)
-            raise ValueError(
-                f"unknown cold-start policy {coldstart!r} (known: {known})"
-            )
-        if autoscaler not in ("horizontal", "hybrid"):
-            raise ValueError("autoscaler must be 'horizontal' or 'hybrid'")
+        if coldstart is not None:
+            check_choice("cold-start policy", coldstart, COLDSTART_POLICIES)
+        check_choice("autoscaler", autoscaler, AUTOSCALERS)
         self.coldstart = coldstart
         self.autoscaler = autoscaler
         self.predictor = predictor
@@ -248,43 +261,33 @@ class Experiment:
         self.pending_cap = pending_cap
         self.cold_queue_batches = cold_queue_batches
         self.workflow = WorkflowSpec.coerce(workflow)
-        if workflow_policy not in WORKFLOW_POLICIES:
-            known = ", ".join(WORKFLOW_POLICIES)
-            raise ValueError(
-                f"unknown workflow policy {workflow_policy!r} (known: {known})"
-            )
+        check_choice("workflow policy", workflow_policy, WORKFLOW_POLICIES)
         self.workflow_policy = workflow_policy
-        if self.workflow is not None:
-            if self.functions is not None:
-                raise ValueError(
-                    "workflow= synthesizes its stage functions from the DAG"
-                    " (SLO decomposition); pass either workflow= or"
-                    " functions=, not both"
-                )
-            unsupported = [
-                label
-                for label, value in (
-                    ("faults", self.faults),
-                    ("resilience", self.resilience),
-                )
-                if value
-            ]
-            if unsupported:
-                raise ValueError(
-                    "workflow= runs on the plain discrete-event loop; it"
-                    f" does not support: {', '.join(unsupported)} yet"
-                )
+        if self.workflow is not None and self.functions is not None:
+            raise ValueError(
+                "workflow= synthesizes its stage functions from the DAG"
+                " (SLO decomposition); pass either workflow= or"
+                " functions=, not both"
+            )
         self.metrics_mode = metrics_mode
         self.arrival_mode = arrival_mode
         self.arrival_window_s = arrival_window_s
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
+        check_choice("engine", engine, ENGINES)
         if hot_k < 0:
             raise ValueError("hot_k must be >= 0")
         self.engine = engine
         self.hot_k = hot_k
+        # Refuse unsupported combinations before anything is built.
+        if isinstance(platform, str):
+            # An unknown name fails in make_platform, at build time.
+            self._check_supported(_platform_kind(PLATFORMS.get(platform)))
+        elif _is_factory(platform):
+            # The class it builds is checked once the factory has run.
+            self._check_supported("factory")
+        else:
+            self._check_supported("object", _platform_kind(platform))
+        if engine != "des" and self.functions is None:
+            raise ValueError(f"engine={engine!r} needs explicit function specs")
         self.platform = None
         self.simulation: Union[None, ServingSimulation, LLMSimulation] = None
         self.report: Optional[SimulationReport] = None
@@ -299,12 +302,32 @@ class Experiment:
             return self.fleet.build_cluster()
         return build_testbed_cluster(num_servers=self.servers)
 
+    def _check_supported(self, *platform_classes: str) -> None:
+        # In use means set or off its default, never truthiness: an
+        # empty recorder or fault plan still counts.
+        settings = {
+            "workflow": self.workflow is not None,
+            "faults": self.faults is not None,
+            "resilience": self.resilience is not None,
+            "telemetry": self.tracer is not None,
+            "timeline": self.timeline is not None,
+            "windowed": self.arrival_mode != "eager",
+            "sketch": self.metrics_mode != "exact",
+            "fleet": self.fleet is not None,
+            "coldstart": self.coldstart is not None,
+            "autoscaler": self.autoscaler != "horizontal",
+            "platform_options": self.platform_options != {},
+            "hot_k": self.hot_k != 1,
+        }
+        in_use = [feature for feature, used in settings.items() if used]
+        check_supported(self.engine, platform_classes, in_use)
+
     def _resolve_platform(self):
         spec = self._platform_spec
         if isinstance(spec, str):
             options = dict(self.platform_options)
-            # Folded in only when non-default so baseline platforms
-            # without the knobs keep constructing unchanged.
+            # Folded in only when set: baseline and LLM constructors
+            # have no such keywords (the table refuses them there).
             if self.coldstart is not None:
                 options["coldstart"] = self.coldstart
             if self.autoscaler != "horizontal":
@@ -312,12 +335,10 @@ class Experiment:
             return make_platform(
                 spec, self._default_cluster(), self.predictor, **options
             )
-        if callable(spec) and not hasattr(spec, "route"):
-            return spec(self._default_cluster())
-        if self.platform_options:
-            raise ValueError(
-                "platform_options only apply to registry-name platforms"
-            )
+        if _is_factory(spec):
+            platform = spec(self._default_cluster())
+            self._check_supported(_platform_kind(platform))
+            return platform
         return spec
 
     def build(self) -> Union[ServingSimulation, LLMSimulation]:
@@ -337,18 +358,7 @@ class Experiment:
         if self.functions is not None:
             for function in self.functions:
                 self.platform.deploy(function)
-        if getattr(self.platform, "workload_class", "") == "autoregressive":
-            if self.workflow is not None:
-                raise ValueError(
-                    "workflows are not supported on autoregressive"
-                    " platforms (single-shot serving only)"
-                )
-            if self.metrics_mode != "exact" or self.arrival_mode != "eager":
-                raise ValueError(
-                    "sketch metrics / windowed arrivals are not supported"
-                    " on autoregressive platforms yet (the LLM summary"
-                    " keeps per-request token records)"
-                )
+        if _platform_kind(self.platform) == "autoregressive":
             self.simulation = LLMSimulation(
                 platform=self.platform,
                 workload=self.workload,
@@ -416,86 +426,24 @@ class Experiment:
         """Assemble the fluid or hybrid simulation.
 
         Both paths serve single-shot workloads on the INFless control
-        laws; features that only exist in the discrete event loop
-        (chaos plans, resilience retries, telemetry spans, workflows,
-        windowed arrivals) are rejected loudly rather than silently
-        ignored.
+        laws; the capability table (:mod:`repro.api.capabilities`)
+        has already refused every discrete-only feature.
         """
         from repro.fluid import FluidSimulation, HybridSimulation
 
-        if self._platform_spec != "infless":
-            raise ValueError(
-                f"engine={self.engine!r} models the INFless control laws;"
-                " use platform='infless' (baselines run engine='des')"
-            )
-        if self.workflow is not None:
-            raise ValueError(
-                f"engine={self.engine!r} does not support: workflow"
-                " (discrete-event only)"
-            )
-        if self.functions is None:
-            raise ValueError(
-                f"engine={self.engine!r} needs explicit function specs"
-            )
-        if (
-            self.fleet is not None
-            or self.coldstart is not None
-            or self.autoscaler != "horizontal"
-        ):
-            raise ValueError(
-                f"engine={self.engine!r} models the homogeneous default"
-                " fleet; fleet=/coldstart=/autoscaler= need engine='des'"
-            )
-        unsupported = [
-            label
-            for label, value in (
-                ("faults", self.faults),
-                ("resilience", self.resilience),
-                ("telemetry", self.tracer),
-                ("timeline", self.timeline),
-                ("workflow", self.workflow),
-            )
-            if value
-        ]
-        if unsupported:
-            raise ValueError(
-                f"engine={self.engine!r} does not support:"
-                f" {', '.join(unsupported)} (discrete-event only)"
-            )
-        if self.arrival_mode != "eager":
-            raise ValueError(
-                f"engine={self.engine!r} reads rates straight off the"
-                " trace; windowed arrivals only apply to engine='des'"
-            )
-        if self.engine == "fluid":
-            return FluidSimulation(
-                functions=self.functions,
-                workload=self.workload,
-                predictor=self.predictor,
-                executor=self.executor,
-                control_interval_s=self.control_interval_s,
-                warmup_s=self.warmup_s,
-                ewma=self.ewma,
-                pending_cap=self.pending_cap,
-                invariants=self.invariants,
-                seed=self.seed,
-                rate_mode=self.rate_mode,
-            )
-        return HybridSimulation(
-            functions=self.functions,
-            workload=self.workload,
-            hot_k=self.hot_k,
-            platform=self._platform_spec,
-            servers=self.servers,
-            predictor=self.predictor,
-            executor=self.executor,
+        common = dict(
+            functions=self.functions, workload=self.workload,
+            predictor=self.predictor, executor=self.executor,
             control_interval_s=self.control_interval_s,
-            warmup_s=self.warmup_s,
-            ewma=self.ewma,
-            pending_cap=self.pending_cap,
-            invariants=self.invariants,
-            seed=self.seed,
-            rate_mode=self.rate_mode,
+            warmup_s=self.warmup_s, ewma=self.ewma,
+            pending_cap=self.pending_cap, invariants=self.invariants,
+            seed=self.seed, rate_mode=self.rate_mode,
+        )
+        if self.engine == "fluid":
+            return FluidSimulation(**common)
+        return HybridSimulation(
+            hot_k=self.hot_k, platform=self._platform_spec,
+            servers=self.servers, **common,
         )
 
     def run(self) -> SimulationReport:
@@ -614,57 +562,28 @@ class Experiment:
             ValueError: on an unsupported schema or a key this build
                 does not read.
         """
-        from repro.core.function import FunctionSpec
-
-        unknown = sorted(set(spec) - SPEC_KEYS)
-        if unknown:
-            raise ValueError(
-                f"unknown experiment spec key(s): {', '.join(unknown)}"
-            )
+        reject_unknown_keys(spec, SPEC_KEYS, "experiment spec")
         schema = spec.get("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
             raise ValueError(
                 f"unsupported experiment spec schema {schema!r}"
                 f" (this build reads schema {SPEC_SCHEMA})"
             )
-        functions = None
-        if spec.get("functions") is not None:
-            functions = [
+        # Every other key is an __init__ argument of the same name;
+        # absent keys take the constructor defaults.
+        kwargs = {key: value for key, value in spec.items() if key != "schema"}
+        if kwargs.get("functions") is not None:
+            kwargs["functions"] = [
                 FunctionSpec.for_model(
                     raw["model"], slo_s=raw["slo_s"], name=raw.get("name", "")
                 )
-                for raw in spec["functions"]
+                for raw in kwargs["functions"]
             ]
-        resilience = spec.get("resilience")
-        if resilience is not None:
-            resilience = ResiliencePolicy(**resilience)
-        return cls(
-            platform=spec["platform"],
-            platform_options=spec.get("platform_options") or None,
-            servers=spec.get("servers", 8),
-            fleet=spec.get("fleet"),
-            coldstart=spec.get("coldstart"),
-            autoscaler=spec.get("autoscaler", "horizontal"),
-            functions=functions,
-            workload={
-                name: Trace.from_dict(raw)
-                for name, raw in spec.get("workload", {}).items()
-            },
-            faults=spec.get("faults"),
-            resilience=resilience,
-            invariants=spec.get("invariants"),
-            warmup_s=spec.get("warmup_s", 0.0),
-            seed=spec.get("seed", 42),
-            control_interval_s=spec.get("control_interval_s", 1.0),
-            rate_mode=spec.get("rate_mode", "measured"),
-            ewma=spec.get("ewma", 0.6),
-            pending_cap=spec.get("pending_cap", 100_000),
-            cold_queue_batches=spec.get("cold_queue_batches", 64),
-            workflow=spec.get("workflow"),
-            workflow_policy=spec.get("workflow_policy", "decomposed"),
-            metrics_mode=spec.get("metrics_mode", "exact"),
-            arrival_mode=spec.get("arrival_mode", "eager"),
-            arrival_window_s=spec.get("arrival_window_s", 60.0),
-            engine=spec.get("engine", "des"),
-            hot_k=spec.get("hot_k", 1),
-        )
+        kwargs["workload"] = {
+            name: Trace.from_dict(raw)
+            for name, raw in spec.get("workload", {}).items()
+        }
+        if kwargs.get("resilience") is not None:
+            kwargs["resilience"] = ResiliencePolicy(**kwargs["resilience"])
+        kwargs["platform_options"] = spec.get("platform_options") or None
+        return cls(**kwargs)

@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,8 +36,10 @@ import numpy as np
 from repro.api import PLATFORMS, Experiment
 from repro.cluster.fleet import FleetSpec
 from repro.core.coldstart import COLDSTART_POLICIES
+from repro.core.engine import AUTOSCALERS
 from repro.core.function import FunctionSpec
 from repro.faults import FaultPlan
+from repro.specs import check_choice, reject_unknown_keys
 from repro.workflows import WORKFLOW_POLICIES, WorkflowSpec
 from repro.workloads import (
     bursty_trace,
@@ -205,36 +207,15 @@ class CampaignSpec:
         for axis, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"axis {axis!r} must be a non-empty list")
-        for platform in self.axes.get("platform", []):
-            if platform not in PLATFORMS:
-                known = ", ".join(sorted(PLATFORMS))
-                raise ValueError(
-                    f"unknown platform {platform!r}; registered: {known}"
-                )
-        for kind in self.axes.get("trace", []):
-            if kind not in TRACE_KINDS:
-                known = ", ".join(TRACE_KINDS)
-                raise ValueError(
-                    f"unknown trace kind {kind!r}; known kinds: {known}"
-                )
-        for name in self.axes.get("coldstart", []):
-            if name is not None and name not in COLDSTART_POLICIES:
-                known = ", ".join(sorted(COLDSTART_POLICIES))
-                raise ValueError(
-                    f"unknown coldstart policy {name!r}; known: {known}"
-                )
-        for name in self.axes.get("autoscaler", []):
-            if name not in ("horizontal", "hybrid"):
-                raise ValueError(
-                    f"unknown autoscaler {name!r};"
-                    " known: horizontal, hybrid"
-                )
-        for policy in self.axes.get("workflow_policy", []):
-            if policy not in WORKFLOW_POLICIES:
-                known = ", ".join(WORKFLOW_POLICIES)
-                raise ValueError(
-                    f"unknown workflow policy {policy!r}; known: {known}"
-                )
+        for axis, what, known in (
+            ("platform", "platform", sorted(PLATFORMS)),
+            ("trace", "trace kind", TRACE_KINDS),
+            ("coldstart", "coldstart policy", (None, *sorted(COLDSTART_POLICIES))),
+            ("autoscaler", "autoscaler", AUTOSCALERS),
+            ("workflow_policy", "workflow policy", WORKFLOW_POLICIES),
+        ):
+            for value in self.axes.get(axis, []):
+                check_choice(what, value, known)
         object.__setattr__(self, "replicates", tuple(self.replicates))
         object.__setattr__(
             self, "axes", {k: list(v) for k, v in self.axes.items()}
@@ -260,6 +241,8 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignSpec":
         """Parse a campaign from its JSON dict form."""
+        known = {"schema", *(spec_field.name for spec_field in fields(cls))}
+        reject_unknown_keys(payload, known, "campaign spec")
         schema = payload.get("schema", CAMPAIGN_SCHEMA)
         if schema != CAMPAIGN_SCHEMA:
             raise ValueError(

@@ -168,7 +168,7 @@ def _simulate_load(args: argparse.Namespace):
     return None, [function], workload, args.model
 
 
-def _cmd_simulate_seeds(args: argparse.Namespace, faults, resilience) -> int:
+def _cmd_simulate_seeds(args: argparse.Namespace, load, faults, resilience) -> int:
     """One configuration across a seed list: mean +/- std, not a point."""
     from repro.campaign import RunSpec, run_specs_serial, summarize
 
@@ -178,40 +178,21 @@ def _cmd_simulate_seeds(args: argparse.Namespace, faults, resilience) -> int:
         return 1
     seeds = _parse_seed_list(args.seeds)
     try:
-        workflow, functions, workload, label = _simulate_load(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load workflow {args.workflow}: {exc}", file=sys.stderr)
+        runs = [
+            RunSpec(
+                campaign="simulate-seeds",
+                cell={"platform": args.platform, "model": load[3]},
+                replicate=seed,
+                seed=seed,
+                experiment=_simulate_experiment(
+                    args, load, seed, faults, resilience
+                ).to_spec(),
+            )
+            for seed in seeds
+        ]
+    except (ValueError, OSError) as exc:
+        print(f"cannot run: {exc}", file=sys.stderr)
         return 1
-    options = _platform_options(args)
-    runs = []
-    for seed in seeds:
-        experiment = Experiment(
-            platform=args.platform,
-            servers=args.servers,
-            fleet=args.fleet,
-            coldstart=args.coldstart,
-            autoscaler=args.autoscaler,
-            functions=functions,
-            workload=workload,
-            workflow=workflow,
-            workflow_policy=args.workflow_policy,
-            platform_options=options,
-            warmup_s=min(20.0, args.duration / 4),
-            invariants=args.check_invariants,
-            faults=faults,
-            resilience=resilience,
-            metrics_mode=args.metrics_mode,
-            arrival_mode=args.arrival_mode,
-            arrival_window_s=args.arrival_window,
-            seed=seed,
-        )
-        runs.append(RunSpec(
-            campaign="simulate-seeds",
-            cell={"platform": args.platform, "model": label},
-            replicate=seed,
-            seed=seed,
-            experiment=experiment.to_spec(),
-        ))
     # The campaign runner's single-process path: serial, same executor
     # the parallel workers use.
     results = run_specs_serial(runs, timeout_s=None)
@@ -257,6 +238,41 @@ def _platform_options(args: argparse.Namespace) -> Optional[dict]:
     return options
 
 
+def _simulate_experiment(
+    args: argparse.Namespace, load, seed: int, faults, resilience
+) -> Experiment:
+    """The one Experiment the simulate flags describe, at ``seed``.
+
+    ``load`` is :func:`_simulate_load`'s result.  Both the single run
+    and ``--seeds`` build through here, so neither drops a flag.
+    """
+    workflow, functions, workload, _ = load
+    return Experiment(
+        platform=args.platform,
+        servers=args.servers,
+        fleet=args.fleet,
+        coldstart=args.coldstart,
+        autoscaler=args.autoscaler,
+        functions=functions,
+        workload=workload,
+        workflow=workflow,
+        workflow_policy=args.workflow_policy,
+        platform_options=_platform_options(args),
+        warmup_s=min(20.0, args.duration / 4),
+        telemetry=bool(args.trace_out or args.chrome_trace_out),
+        timeline=bool(args.timeline_out or args.chrome_trace_out),
+        invariants=args.check_invariants,
+        faults=faults,
+        resilience=resilience,
+        metrics_mode=args.metrics_mode,
+        arrival_mode=args.arrival_mode,
+        arrival_window_s=args.arrival_window,
+        seed=seed,
+        engine=args.engine,
+        hot_k=args.hot_k,
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # Fail on unwritable export paths before spending time simulating.
     for path in (args.trace_out, args.chrome_trace_out, args.timeline_out):
@@ -284,43 +300,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # Token-granularity runs recover through preemption, not the
         # retry/deadline layer.
         resilience = ResiliencePolicy(max_retries=args.max_retries)
-    if args.seeds:
-        return _cmd_simulate_seeds(args, faults, resilience)
     try:
-        workflow, functions, workload, _ = _simulate_load(args)
+        load = _simulate_load(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load workflow {args.workflow}: {exc}", file=sys.stderr)
         return 1
+    if args.seeds:
+        return _cmd_simulate_seeds(args, load, faults, resilience)
     try:
-        experiment = Experiment(
-            platform=args.platform,
-            servers=args.servers,
-            fleet=args.fleet,
-            coldstart=args.coldstart,
-            autoscaler=args.autoscaler,
-            functions=functions,
-            workload=workload,
-            workflow=workflow,
-            workflow_policy=args.workflow_policy,
-            platform_options=_platform_options(args),
-            warmup_s=min(20.0, args.duration / 4),
-            telemetry=bool(args.trace_out or args.chrome_trace_out),
-            timeline=bool(args.timeline_out or args.chrome_trace_out),
-            invariants=args.check_invariants,
-            faults=faults,
-            resilience=resilience,
-            metrics_mode=args.metrics_mode,
-            arrival_mode=args.arrival_mode,
-            arrival_window_s=args.arrival_window,
-            seed=args.seed,
-            engine=args.engine,
-            hot_k=args.hot_k,
+        experiment = _simulate_experiment(
+            args, load, args.seed, faults, resilience
         )
         report = experiment.run()
     except (ValueError, OSError) as exc:
-        # Unsupported knob combinations (e.g. --engine fluid with
-        # faults or telemetry) and malformed --fleet files are
-        # rejected with the reason.
+        # Combinations the capability table refuses (e.g. --engine
+        # fluid with faults, --coldstart on a baseline) and malformed
+        # --workflow/--fleet files are rejected with the reason.
         print(f"cannot run: {exc}", file=sys.stderr)
         return 1
     tracer = experiment.tracer

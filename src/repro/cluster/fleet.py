@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import GPU_UNIT_GFLOPS
 from repro.cluster.server import Server
+from repro.specs import reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,7 @@ class FleetSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FleetSpec":
         """Inverse of :meth:`to_dict`; validates the group list."""
+        reject_unknown_keys(payload, ("groups",), "fleet spec")
         groups = payload.get("groups")
         if not isinstance(groups, (list, tuple)):
             raise ValueError("FleetSpec dict needs a 'groups' list")

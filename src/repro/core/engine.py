@@ -23,6 +23,10 @@ from repro.core.scheduler import GreedyScheduler
 from repro.faults.resilience import backlog_sheds
 from repro.profiling.configspace import ConfigSpace
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
+from repro.specs import check_choice
+
+#: ``autoscaler=`` values: scale-out only, or vertical growth first.
+AUTOSCALERS = ("horizontal", "hybrid")
 
 
 class INFlessEngine:
@@ -72,8 +76,7 @@ class INFlessEngine:
     ) -> None:
         if policy is not None and coldstart is not None:
             raise ValueError("pass either policy= or coldstart=, not both")
-        if autoscaler not in ("horizontal", "hybrid"):
-            raise ValueError("autoscaler must be 'horizontal' or 'hybrid'")
+        check_choice("autoscaler", autoscaler, AUTOSCALERS)
         self.name = name
         self.cluster = cluster
         self.predictor = predictor or build_default_predictor()

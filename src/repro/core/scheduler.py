@@ -40,6 +40,7 @@ from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
 from repro.profiling.configspace import ConfigSpace, InstanceConfig, batch_choices
 from repro.profiling.predictor import LatencyPredictor
+from repro.specs import check_choice
 
 
 class SchedulingError(RuntimeError):
@@ -83,10 +84,7 @@ class GreedyScheduler:
         dynamic_beta: bool = True,
         selection: str = "efficiency",
     ) -> None:
-        if selection not in ("efficiency", "max_rps", "max_density"):
-            raise ValueError(
-                "selection must be 'efficiency', 'max_rps' or 'max_density'"
-            )
+        check_choice("selection", selection, ("efficiency", "max_rps", "max_density"))
         self.cluster = cluster
         self.predictor = predictor
         self.config_space = config_space or ConfigSpace()

@@ -29,6 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.specs import reject_unknown_keys
+
 
 @dataclass(frozen=True)
 class ServerCrash:
@@ -228,6 +230,7 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FaultPlan":
         """Parse a plan from its JSON dict form."""
+        reject_unknown_keys(payload, ("events", "stochastic", "seed"), "fault plan")
         events: List[FaultEvent] = []
         for raw in payload.get("events", []):
             kind = raw.get("kind")

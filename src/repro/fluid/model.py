@@ -36,6 +36,7 @@ from repro.profiling.configspace import ConfigSpace, batch_choices
 from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor
 from repro.simulation.sketches import QuantileSketch
+from repro.specs import check_choice
 from repro.workloads.trace import Trace
 
 #: deterministic stratification of the log-normal execution noise:
@@ -380,8 +381,7 @@ class FunctionFluid:
         sketch_subbuckets: int,
         rate_mode: str = "measured",
     ) -> None:
-        if rate_mode not in ("measured", "oracle"):
-            raise ValueError("rate_mode must be 'measured' or 'oracle'")
+        check_choice("rate_mode", rate_mode, ("measured", "oracle"))
         self.function = function
         self.trace = trace
         self.ladder = ladder

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.core.batching import cached_rate_bounds
+from repro.specs import check_choice
 
 MODES = ("off", "collect", "strict")
 
@@ -56,8 +57,7 @@ TOL = 1e-6
 def set_default_mode(mode: str) -> str:
     """Set the mode new checkers resolve when built without one."""
     global _default_mode
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_choice("invariants mode", mode, MODES)
     previous = _default_mode
     _default_mode = mode
     return previous
@@ -108,8 +108,7 @@ class InvariantChecker:
 
     def __init__(self, mode: Optional[str] = None) -> None:
         resolved = default_mode() if mode is None else mode
-        if resolved not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {resolved!r}")
+        check_choice("invariants mode", resolved, MODES)
         self.mode = resolved
         self.violations: List[Violation] = []
 

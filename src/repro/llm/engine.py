@@ -33,6 +33,7 @@ from repro.cluster.server import AllocationError, GpuDevice
 from repro.core.function import FunctionSpec
 from repro.models.llm import LLMSpec
 from repro.llm.sequence import Sequence, SequenceState
+from repro.specs import check_choice
 from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER
 
@@ -223,20 +224,10 @@ class ContinuousBatchingLLM:
         max_kv_tokens: Optional[int] = None,
         swap_mbps: float = SWAP_MBPS,
     ) -> None:
-        if scheduling not in SCHEDULING_MODES:
-            raise ValueError(
-                f"scheduling must be one of {SCHEDULING_MODES}"
-            )
-        if admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}"
-            )
-        if preemption not in PREEMPTION_MODES:
-            raise ValueError(
-                f"preemption must be one of {PREEMPTION_MODES}"
-            )
-        if victims not in VICTIM_POLICIES:
-            raise ValueError(f"victims must be one of {VICTIM_POLICIES}")
+        check_choice("scheduling", scheduling, SCHEDULING_MODES)
+        check_choice("admission", admission, ADMISSION_POLICIES)
+        check_choice("preemption", preemption, PREEMPTION_MODES)
+        check_choice("victims", victims, VICTIM_POLICIES)
         self.cluster = cluster
         self.predictor = predictor
         self.name = name

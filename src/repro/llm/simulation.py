@@ -90,11 +90,9 @@ class LLMSimulation:
                 " platform; use ServingSimulation for single-shot serving"
             )
         if resilience not in (None, False):
-            raise ValueError(
-                "resilience policies (retries/deadlines) are not"
-                " supported for LLM serving; preemption handles"
-                " recovery at token granularity"
-            )
+            from repro.api.capabilities import check_supported
+
+            check_supported("des", ("autoregressive",), ("resilience",))
         self.platform = platform
         self.workload = dict(workload)
         self.control_interval_s = control_interval_s

@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
-import numpy as np
-
 from repro.core.coldstart import KeepAlivePolicy
-from repro.workloads.arrivals import sample_arrivals
-from repro.workloads.trace import Trace
 
 
 @dataclass
@@ -87,14 +83,6 @@ def evaluate_policy(
         total.wasted_loaded_s += per_fn.wasted_loaded_s
         total.total_idle_s += per_fn.total_idle_s
     return total
-
-
-def invocations_from_traces(
-    traces: Dict[str, Trace], seed: int = 11
-) -> Dict[str, Sequence[float]]:
-    """Sample invocation streams from RPS traces (shared across policies)."""
-    rng = np.random.default_rng(seed)
-    return {name: sample_arrivals(trace, rng) for name, trace in traces.items()}
 
 
 def compare_policies(

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.simulation.sketches import DEFAULT_SUBBUCKETS, QuantileSketch
+from repro.specs import check_choice
 
 #: how the collector keeps latency statistics: ``"exact"`` stores every
 #: request record (full-fidelity percentiles, O(N) memory); ``"sketch"``
@@ -218,11 +219,7 @@ class MetricsCollector:
         warmup_s: float = 0.0,
         sketch_subbuckets: int = DEFAULT_SUBBUCKETS,
     ) -> None:
-        if metrics_mode not in METRICS_MODES:
-            raise ValueError(
-                f"metrics_mode must be one of {METRICS_MODES},"
-                f" got {metrics_mode!r}"
-            )
+        check_choice("metrics_mode", metrics_mode, METRICS_MODES)
         self.metrics_mode = metrics_mode
         self._warmup_s = float(warmup_s)
         self.records: List[RequestRecord] = []

@@ -53,6 +53,7 @@ from repro.simulation.engine import EventLoop
 from repro.simulation.events import Event, EventKind
 from repro.simulation.metrics import MetricsCollector, RequestRecord, SimulationReport
 from repro.simulation.platform import ServingPlatform
+from repro.specs import check_choice
 from repro.telemetry import (
     DROP_DEADLINE,
     DROP_NO_CAPACITY,
@@ -226,12 +227,10 @@ class ServingSimulation:
         arrival_window_s: float = 60.0,
         seed: int = 42,
     ) -> None:
-        if rate_mode not in ("measured", "oracle"):
-            raise ValueError("rate_mode must be 'measured' or 'oracle'")
+        check_choice("rate_mode", rate_mode, ("measured", "oracle"))
         if not 0.0 < ewma <= 1.0:
             raise ValueError("ewma must lie in (0, 1]")
-        if arrival_mode not in ("eager", "windowed"):
-            raise ValueError("arrival_mode must be 'eager' or 'windowed'")
+        check_choice("arrival_mode", arrival_mode, ("eager", "windowed"))
         if arrival_window_s <= 0:
             raise ValueError("arrival_window_s must be positive")
         self.platform = platform

@@ -52,8 +52,15 @@ def _check_entry(value: float, count) -> None:
         raise ValueError(
             f"sketch values must be finite and non-negative, got {value!r}"
         )
-    if not isinstance(count, Integral) or count < 0:
+    _check_count(count)
+
+
+def _check_count(count) -> int:
+    """``count`` as an int, if it is a non-negative integer."""
+    # The exact-type test skips the slow ABC check for plain ints.
+    if not (type(count) is int or isinstance(count, Integral)) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count}")
+    return int(count)
 
 
 class QuantileSketch:
@@ -282,9 +289,9 @@ class QuantileSketch:
                 f" (this build reads schema {SKETCH_SCHEMA})"
             )
         sketch = cls(int(payload.get("subbuckets", DEFAULT_SUBBUCKETS)))
-        sketch._zeros = int(payload.get("zeros", 0))
+        sketch._zeros = _check_count(payload.get("zeros", 0))
         sketch._bins = {
-            int(index): int(count)
+            int(index): _check_count(count)
             for index, count in payload.get("bins", {}).items()
         }
         if "min" in payload:

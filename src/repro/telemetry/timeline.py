@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.specs import check_choice, reject_unknown_keys
+
 #: fixed column order of the CSV export (and of every sampled row).
 TIMELINE_COLUMNS = (
     "t",
@@ -40,9 +42,7 @@ class TimelineRecorder:
         a typo at an instrumentation site cannot silently widen the
         schema.
         """
-        unknown = set(row) - set(TIMELINE_COLUMNS)
-        if unknown:
-            raise ValueError(f"unknown timeline columns: {sorted(unknown)}")
+        reject_unknown_keys(row, TIMELINE_COLUMNS, "timeline column")
         self.rows.append({col: row.get(col, "") for col in TIMELINE_COLUMNS})
 
     def __len__(self) -> int:
@@ -50,8 +50,7 @@ class TimelineRecorder:
 
     def series(self, function: str, column: str) -> List[Any]:
         """One function's values of a column, in tick order."""
-        if column not in TIMELINE_COLUMNS:
-            raise ValueError(f"unknown timeline column {column!r}")
+        check_choice("timeline column", column, TIMELINE_COLUMNS)
         return [
             row[column] for row in self.rows if row["function"] == function
         ]

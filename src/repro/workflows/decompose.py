@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
+from repro.specs import check_choice
 from repro.workflows.spec import WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,11 +74,7 @@ def decompose_slo(
     floored at ``MIN_BUDGET_FACTOR * t_exec`` so every stage keeps an
     Eq. 1-feasible budget, and capped at the end-to-end budget.
     """
-    if policy not in WORKFLOW_POLICIES:
-        known = ", ".join(WORKFLOW_POLICIES)
-        raise ValueError(
-            f"unknown workflow policy {policy!r} (known: {known})"
-        )
+    check_choice("workflow policy", policy, WORKFLOW_POLICIES)
     e2e = workflow.end_to_end_slo_s
     if policy == "independent":
         return {name: e2e for name in workflow.stage_names()}

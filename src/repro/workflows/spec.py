@@ -23,6 +23,8 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.specs import reject_unknown_keys
+
 #: application preset names resolved by :meth:`WorkflowSpec.coerce`.
 WORKFLOW_PRESETS: Tuple[str, ...] = ("osvt", "qa")
 
@@ -98,6 +100,7 @@ class WorkflowStage:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "WorkflowStage":
         """Inverse of :meth:`to_dict`."""
+        reject_unknown_keys(payload, ("name", "model", "downstream"), "workflow stage")
         return cls(
             name=payload["name"],
             model=payload.get("model", ""),
@@ -315,6 +318,7 @@ class WorkflowSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "WorkflowSpec":
         """Inverse of :meth:`to_dict`; validates the DAG."""
+        reject_unknown_keys(payload, ("name", "stages", "end_to_end_slo_s"), "workflow spec")
         stages = payload.get("stages")
         if not isinstance(stages, (list, tuple)):
             raise ValueError("WorkflowSpec dict needs a 'stages' list")

@@ -17,7 +17,6 @@ from repro.workloads.generators import (
     timer_invocations,
 )
 from repro.workloads.arrivals import (
-    iter_arrival_windows,
     merge_arrival_streams,
     sample_arrivals,
     sample_arrivals_window,
@@ -52,7 +51,6 @@ __all__ = [
     "timer_invocations",
     "sample_arrivals",
     "sample_arrivals_window",
-    "iter_arrival_windows",
     "merge_arrival_streams",
     "Application",
     "build_osvt",

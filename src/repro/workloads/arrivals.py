@@ -8,7 +8,7 @@ cell: the count inside each grid cell is Poisson with the cell's
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -93,30 +93,6 @@ def sample_arrivals_window(
         cursor += count
     arrivals.sort()
     return arrivals
-
-
-def iter_arrival_windows(
-    trace: Trace,
-    rng: np.random.Generator,
-    window_s: float,
-    max_requests_per_window: int = 5_000_000,
-) -> Iterator[Tuple[float, float, np.ndarray]]:
-    """Yield ``(start, end, times)`` windows covering the whole trace.
-
-    Constant memory in the trace length: at most one window of arrival
-    times is alive at a time.  Consuming the windows in order with the
-    same ``rng`` is deterministic.
-    """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    start = 0.0
-    duration = trace.duration_s
-    while start < duration:
-        end = min(start + window_s, duration)
-        yield start, end, sample_arrivals_window(
-            trace, rng, start, end, max_requests_per_window
-        )
-        start = end
 
 
 def merge_arrival_streams(

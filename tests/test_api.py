@@ -6,10 +6,13 @@ import pytest
 
 from repro.api import PLATFORMS, Experiment, make_platform
 from repro.baselines import BatchOTP, OpenFaaSPlus
+from repro.campaign import CampaignSpec
 from repro.cluster import build_testbed_cluster
+from repro.cluster.fleet import FleetSpec
 from repro.core import FunctionSpec, INFlessEngine
 from repro.faults import FaultPlan, ResiliencePolicy, ServerCrash
 from repro.simulation import ServingSimulation
+from repro.workflows import WorkflowSpec
 from repro.workloads import constant_trace
 
 
@@ -111,13 +114,12 @@ class TestExperiment:
 
     def test_platform_options_rejected_for_prebuilt(self, predictor):
         prebuilt = OpenFaaSPlus(build_testbed_cluster(num_servers=2), predictor)
-        experiment = Experiment(
-            platform=prebuilt,
-            workload={},
-            platform_options={"keepalive_s": 1.0},
-        )
         with pytest.raises(ValueError, match="platform_options"):
-            experiment.build()
+            Experiment(
+                platform=prebuilt,
+                workload={},
+                platform_options={"keepalive_s": 1.0},
+            )
 
     def test_coerces_faults_resilience_and_telemetry(
         self, predictor, executor
@@ -223,3 +225,19 @@ class TestExperimentSpec:
         typo["warmup"] = 5.0
         with pytest.raises(ValueError, match="unknown .*: warmup$"):
             Experiment.from_spec(typo)
+
+
+@pytest.mark.parametrize("load, payload, typo", [
+    (FaultPlan.from_dict, {"event": []}, "event"),
+    (FaultPlan.from_dict, {"faults": [], "seed": 1}, "faults"),
+    (FleetSpec.from_dict, {"groups": [], "group": []}, "group"),
+    (WorkflowSpec.from_dict,
+     {"name": "w", "stages": [], "end_to_end_slo": 0.4}, "end_to_end_slo"),
+    (Experiment.from_spec, {"platform": "infless", "warmup": 5.0}, "warmup"),
+    (CampaignSpec.from_dict, {"name": "c", "axes": {}, "replicate": [1]},
+     "replicate"),
+])
+def test_spec_loaders_reject_unknown_keys(load, payload, typo):
+    # A misspelt key must not load as an empty plan or a zero deadline.
+    with pytest.raises(ValueError, match=f"unknown .* key\\(s\\): {typo}$"):
+        load(payload)

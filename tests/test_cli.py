@@ -174,3 +174,43 @@ class TestScaleOutFlags:
         assert main(
             ["campaign", "shard-trace", "/nonexistent/trace.csv", "--quiet"]
         ) == 1
+
+
+class TestSimulateCapabilities:
+    def test_seeds_keep_the_engine(self, capsys, predictor):
+        import json
+
+        base = ["simulate", "--model", "resnet-50", "--rps", "60",
+                "--duration", "20", "--slo-ms", "200", "--engine", "fluid",
+                "--output", "json"]
+        assert main(base + ["--seeds", "1"]) == 0
+        seeded = json.loads(capsys.readouterr().out)
+        assert main(base + ["--seed", "1"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert seeded["metrics"]["goodput (rps)"]["values"] == [
+            single["goodput_rps"]
+        ]
+
+    @pytest.mark.parametrize("flags", [
+        ["--platform", "batch", "--coldstart", "swap"],
+        ["--platform", "openfaas+", "--autoscaler", "hybrid"],
+        ["--platform", "llm", "--model", "llm-125m", "--coldstart", "swap"],
+        ["--platform", "batch", "--coldstart", "swap", "--seeds", "1,2"],
+        ["--engine", "fluid", "--timeline-out", "TIMELINE"],
+    ])
+    def test_refused_combinations_exit_cleanly(
+        self, flags, capsys, predictor, tmp_path
+    ):
+        from repro.api.capabilities import rejection
+
+        timeline = tmp_path / "t.csv"
+        flags = [str(timeline) if f == "TIMELINE" else f for f in flags]
+        assert main(["simulate", "--duration", "5", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot run: ")
+        reason = err[len("cannot run: "):].strip()
+        assert reason in {
+            rejection("des", ("baseline",), ("coldstart",)),
+            rejection("fluid", ("infless",), ("timeline",)),
+        }
+        assert not timeline.exists()

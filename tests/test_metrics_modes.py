@@ -7,7 +7,7 @@ import pytest
 from repro.api import Experiment
 from repro.core import FunctionSpec
 from repro.simulation.metrics import MetricsCollector
-from repro.workloads import bursty_trace, constant_trace
+from repro.workloads import bursty_trace
 
 
 def _fig12_style_experiment(metrics_mode="exact", seed=9, **overrides):
@@ -87,19 +87,6 @@ class TestSketchVsExact:
         with pytest.raises(ValueError):
             MetricsCollector(metrics_mode="approximate")
 
-    def test_llm_platform_rejects_sketch(self):
-        function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
-        experiment = Experiment(
-            platform="llm",
-            servers=1,
-            functions=[function],
-            workload={function.name: constant_trace(5.0, 10.0)},
-            metrics_mode="sketch",
-            seed=1,
-        )
-        with pytest.raises(ValueError):
-            experiment.build()
-
 
 class TestWarmupBoundaryCarry:
     def test_pre_warmup_segment_clipped_not_dropped(self):
@@ -169,19 +156,6 @@ class TestWindowedArrivals:
     def test_unknown_arrival_mode_rejected(self):
         with pytest.raises(ValueError):
             _fig12_style_experiment("exact", arrival_mode="lazy").build()
-
-    def test_llm_platform_rejects_windowed(self):
-        function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
-        experiment = Experiment(
-            platform="llm",
-            servers=1,
-            functions=[function],
-            workload={function.name: constant_trace(5.0, 10.0)},
-            arrival_mode="windowed",
-            seed=1,
-        )
-        with pytest.raises(ValueError):
-            experiment.build()
 
 
 class TestSpecStability:

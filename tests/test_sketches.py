@@ -168,6 +168,20 @@ class TestValidation:
                 sketch.add_many([0.5, bad], [1, 0])
         assert sketch.count == 0
 
+    def test_from_dict_rejects_malformed_counts(self):
+        # Stored reports rebuild sketches through from_dict; a corrupt
+        # count must fail loudly, not load as a negative total.
+        payload = QuantileSketch().to_dict()
+        for zeros, bins in (
+            (1.7, {}),
+            (-1, {}),
+            (0, {"300": 2.5}),
+            (0, {"300": 2, "301": -4}),
+        ):
+            bad = {**payload, "zeros": zeros, "bins": bins}
+            with pytest.raises(ValueError, match="non-negative integer"):
+                QuantileSketch.from_dict(bad)
+
     def test_add_many_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             QuantileSketch().add_many([0.1, 0.2], [1])

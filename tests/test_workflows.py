@@ -427,7 +427,7 @@ class TestWorkflowRejections:
             Experiment(**self._kwargs(platform="llm")).build()
 
     def test_faults_reject_workflow(self):
-        faults = {"name": "chaos", "events": [
+        faults = {"events": [
             {"kind": "server_crash", "at_s": 5.0, "server_id": 0},
         ]}
         with pytest.raises(ValueError, match="faults"):
